@@ -440,12 +440,10 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 	s := t.s
 	role := s.role
 	a := as.a
-	cellRows := as.cellRows
 	engA, engB, err := s.distEngines()
 	if err != nil {
 		return nil, err
 	}
-	n := len(a.enc)
 	onPruned := func(pr [2]int) {
 		s.led(func(l *Ledger) {
 			l.PairDecisions++
@@ -463,24 +461,11 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 		})
 		s.cmpCached.Add(1)
 	}
-	var labels []int
-	var clusters int
-	switch {
-	case s.parallel() > 1:
-		labels, clusters, err = LockstepClusterParallelCached(n, s.cfg.MinPts, s.parallel(),
-			as.cache, onCached,
-			PrunedLocalDecider(cellRows, onPruned),
-			func(ch int, pairs [][2]int) ([]bool, error) { return a.batchLE(t.conns[ch], pairs, engA, engB) })
-	case s.batched():
-		oracle := func(pairs [][2]int) ([]bool, error) {
-			return a.batchLE(t.conns[0], pairs, engA, engB)
-		}
-		if s.pruneOn {
-			oracle = PrunedBatchOracle(cellRows, onPruned, oracle)
-		}
-		labels, clusters, err = LockstepClusterBatchCached(n, s.cfg.MinPts, as.cache, onCached, oracle)
-	default:
-		pairLE := func(i, j int) (bool, error) {
+	batchOn := func(ch int, pairs [][2]int) ([]bool, error) {
+		return a.batchLE(t.conns[ch], pairs, engA, engB)
+	}
+	if !s.batched() {
+		batchOn = PairwiseBatch(func(i, j int) (bool, error) {
 			ownSum, err := a.localAndCrossSum(t.conns[0], i, j)
 			if err != nil {
 				return false, err
@@ -491,12 +476,10 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 				return distLessEqDriver(t.conns[0], engA, ownSum)
 			}
 			return distLessEqResponder(t.conns[0], engB, s, ownSum)
-		}
-		if s.pruneOn {
-			pairLE = PrunedPairOracle(cellRows, onPruned, pairLE)
-		}
-		labels, clusters, err = LockstepClusterCached(n, s.cfg.MinPts, as.cache, onCached, pairLE)
+		})
 	}
+	labels, clusters, err := LockstepCluster(len(a.enc), s.cfg.MinPts, s.parallel(),
+		as.cache, onCached, PrunedLocalDecider(as.cellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
 	}

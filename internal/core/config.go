@@ -107,16 +107,13 @@ type Config struct {
 
 	// Parallel is the query scheduler's worker width W. With W = 1 (the
 	// default) every sub-protocol runs on the session's single,
-	// unmultiplexed connection in the strictly sequential lockstep order —
-	// the exact sub-protocol schedule and frame sequence of the
-	// pre-scheduler code path (relative to other v4 builds; the handshake
-	// itself gained the Parallel field and the session control ops, so v3
-	// binaries do not interoperate). With W > 1 the session multiplexes W logical
-	// channels over the connection (transport.Mux) and dispatches
-	// independent secure region queries — HDP/enhanced core queries, and
-	// lockstep pair batches for the vertical/arbitrary families — across
-	// the W workers, overlapping their round trips. Labels and non-index
-	// Ledgers are identical to the sequential schedule (the parallel
+	// unmultiplexed connection, one query at a time. With W > 1 the
+	// session multiplexes W logical channels over the connection
+	// (transport.Mux) and dispatches independent secure region queries —
+	// HDP/enhanced core queries, and lockstep pair batches for the
+	// vertical/arbitrary families — across the W workers, overlapping
+	// their round trips. The same drivers run at every width. Labels and
+	// non-index Ledgers are identical to the W = 1 schedule (the parallel
 	// equivalence harness enforces this); only frame interleaving changes.
 	// Both parties must agree (handshake-checked). W > 1 requires the
 	// batched round structure.

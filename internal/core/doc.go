@@ -46,10 +46,10 @@
 //	│  vertical/arbitrary)  one Run = one clustering             │
 //	├────────────────────────────────────────────────────────────┤
 //	│ query scheduler       Config.Parallel: waves of W          │
-//	│ (parallel.go)         independent region queries /         │
-//	│                       lockstep pair batches, one worker    │
-//	│                       channel each; W=1 → the sequential   │
-//	│                       lockstep schedule                    │
+//	│ (parallel.go,         independent region queries /         │
+//	│  lockstep.go)         lockstep pair batches, one worker    │
+//	│                       channel each; one driver per         │
+//	│                       topology at every W (W=1: bare conn) │
 //	├────────────────────────────────────────────────────────────┤
 //	│ core.Session          keygen + handshake + grid-index      │
 //	│ (sess.go)             exchange once; many Run calls;       │
@@ -85,23 +85,23 @@
 //
 // # Long-lived sessions and the parallel scheduler
 //
-// Config.Parallel = W > 1 turns the hand-rolled lockstep loops into a
-// shared wave scheduler: the horizontal families prefetch the remote
-// decisions of up to W seed-queue points concurrently (every queued point
-// is queried eventually, so prefetching reorders nothing), and the
-// lockstep families claim each still-undecided pair for exactly one of W
-// concurrent worker batches. Schedules are pure functions of shared
+// Each topology has one DBSCAN driver, a wave scheduler, at every width
+// Config.Parallel = W. WaveDrive, for the horizontal families and the
+// mesh, prefetches the remote decisions of up to W seed-queue points
+// concurrently (every queued point is queried eventually, so prefetching
+// reorders nothing); LockstepCluster, for the lockstep families and the
+// ring, claims each still-undecided pair for exactly one of W concurrent
+// worker batches. Schedules are pure functions of shared
 // protocol state, so jointly-computed oracles stay in lock step; labels,
-// Ledgers, and comparison totals are identical to W=1 (the parallel
-// equivalence harness enforces this), and W=1 itself runs the exact
-// sequential sub-protocol schedule of the pre-scheduler code path over an
-// unmultiplexed connection (the handshake version and session control
-// ops changed, so the claim is schedule identity, not cross-release wire
-// compatibility). The win is round-trip
-// overlap — experiment E15 measures it over a simulated WAN. With
-// Selection=quickselect the per-channel permutation streams can shift
-// OrderBits relative to the shared sequential stream (labels and CoreBits
-// are unaffected); the scan default is permutation-invariant.
+// Ledgers, and comparison totals are identical at every W (the parallel
+// equivalence harness enforces this). At W=1 each wave is one query on
+// the unmultiplexed connection, so the frames are those of a plain
+// one-query-at-a-time loop (the W=1 wire test pins the per-tag frame
+// counts). The win of W > 1 is round-trip overlap — experiment E15
+// measures it over a simulated WAN. With Selection=quickselect the
+// per-channel permutation streams can shift OrderBits between widths
+// (labels and CoreBits are unaffected); the scan default is
+// permutation-invariant.
 //
 // # Concurrent sessions and the shared crypto pool
 //
@@ -156,7 +156,7 @@
 //     BatchLess — three frames per step regardless of how many predicates
 //     it settles. An HDP region query costs ≤ 3 hdp.cmp frames instead of
 //     3·nPeer; a lockstep neighborhood (vertical/arbitrary, via
-//     LockstepClusterBatch) costs a constant number of vdp.cmp/adp.cmp
+//     LockstepCluster) costs a constant number of vdp.cmp/adp.cmp
 //     frames instead of 3 per pair; the enhanced selection runs tournament
 //     (scan) or per-pivot (quickselect) batches. Underneath, all Paillier
 //     work rides the parallel pool (paillier.EncryptBatch/DecryptBatch on

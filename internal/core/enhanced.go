@@ -5,7 +5,6 @@ import (
 	"math/big"
 
 	"repro/internal/compare"
-	"repro/internal/dbscan"
 	"repro/internal/mpc"
 	"repro/internal/spatial"
 	"repro/internal/transport"
@@ -64,86 +63,6 @@ func (s *session) enhancedEngines() (shareA compare.Alice, shareB compare.Bob, f
 		return nil, nil, nil, nil, err
 	}
 	return shareA, shareB, finalA, finalB, nil
-}
-
-// enhancedPassDriver implements Algorithm 7/8 from the driving side: the
-// DBSCAN control flow is Algorithm 4's, but the core decision is the
-// share–select–compare protocol above and the peer's points contribute
-// nothing but that bit.
-func enhancedPassDriver(s *session, conn transport.Conn, hs *hStream) ([]int, int, error) {
-	shareA, _, finalA, _, err := s.enhancedEngines()
-	if err != nil {
-		return nil, 0, err
-	}
-	h := &hPass{s: s, hs: hs, own: hs.enc, nPeer: hs.nPeer}
-	own := h.own
-
-	labels := make([]int, len(own))
-	for i := range labels {
-		labels[i] = dbscan.Unclassified
-	}
-	clusterID := 0
-	for i := range own {
-		if labels[i] != dbscan.Unclassified {
-			continue
-		}
-		expanded, err := enhancedExpand(h, conn, i, clusterID+1, labels, shareA, finalA)
-		if err != nil {
-			return nil, 0, err
-		}
-		if expanded {
-			clusterID++
-		}
-	}
-	setTag(conn, "enh.op")
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutUint(opDone)); err != nil {
-		return nil, 0, err
-	}
-	return labels, clusterID, nil
-}
-
-// enhancedExpand is Algorithm 8: expansion walks only the driver's own
-// points; core-ness comes from the updated protocol.
-func enhancedExpand(h *hPass, conn transport.Conn, point, clusterID int, labels []int, shareA compare.Alice, finalA compare.Alice) (bool, error) {
-	seedsA := h.localRegionQuery(point)
-	core, err := enhancedIsCore(h, conn, point, len(seedsA), shareA, finalA)
-	if err != nil {
-		return false, err
-	}
-	if !core {
-		labels[point] = dbscan.Noise
-		return false, nil
-	}
-	for _, sd := range seedsA {
-		labels[sd] = clusterID
-	}
-	queue := make([]int, 0, len(seedsA))
-	for _, sd := range seedsA {
-		if sd != point {
-			queue = append(queue, sd)
-		}
-	}
-	for len(queue) > 0 {
-		current := queue[0]
-		queue = queue[1:]
-		resultA := h.localRegionQuery(current)
-		core, err := enhancedIsCore(h, conn, current, len(resultA), shareA, finalA)
-		if err != nil {
-			return false, err
-		}
-		if !core {
-			continue
-		}
-		for _, r := range resultA {
-			if labels[r] == dbscan.Unclassified || labels[r] == dbscan.Noise {
-				if labels[r] == dbscan.Unclassified {
-					queue = append(queue, r)
-				}
-				labels[r] = clusterID
-			}
-		}
-	}
-	return true, nil
 }
 
 // enhancedIsCore decides whether the driver's point is a core point given
@@ -298,36 +217,6 @@ func enhancedIsCore(h *hPass, conn transport.Conn, point, ownCount int, shareA c
 func (h *hPass) putEnhCache(point int, core bool) {
 	if h.hs != nil {
 		h.hs.putEnh(point, core, len(h.own), h.nPeer)
-	}
-}
-
-// enhancedPassResponder serves the peer's Algorithm 7/8 pass.
-func enhancedPassResponder(s *session, conn transport.Conn, hs *hStream) error {
-	own := hs.enc
-	_, shareB, _, finalB, err := s.enhancedEngines()
-	if err != nil {
-		return err
-	}
-	for {
-		setTag(conn, "enh.op")
-		r, err := transport.RecvMsg(conn)
-		if err != nil {
-			return fmt.Errorf("core: enhanced responder recv op: %w", err)
-		}
-		op := r.Uint()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		switch op {
-		case opCore:
-			if err := serveEnhancedCore(s, conn, s.rng, shareB, finalB, own, r); err != nil {
-				return err
-			}
-		case opDone:
-			return nil
-		default:
-			return fmt.Errorf("core: enhanced responder got unexpected op %d", op)
-		}
 	}
 }
 

@@ -74,9 +74,14 @@ func runMeteredPair(t *testing.T,
 	}
 }
 
-// equivalenceDatasets returns the protocol table over two seeded
-// datasets: the hand-built grid fixture and a quantized blob sample.
-func equivalenceProtocols(t *testing.T) []eqProtocol {
+// eqSplits are the seeded partitions of the equivalence blob sample.
+type eqSplits struct {
+	h partition.HorizontalSplit
+	v partition.VerticalSplit
+	a partition.ArbitrarySplit
+}
+
+func equivalenceSplits(t *testing.T) eqSplits {
 	t.Helper()
 	blobs, _ := dataset.Quantize(dataset.Blobs(20, 2, 0.4, 7), 8)
 	hsplit, err := partition.HorizontalRandom(blobs.Points, 0.5, 7)
@@ -91,38 +96,67 @@ func equivalenceProtocols(t *testing.T) []eqProtocol {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eqSplits{h: hsplit, v: vsplit, a: asplit}
+}
 
-	return []eqProtocol{
-		{"horizontal/grid", func(t *testing.T, cfg Config) eqOutcome {
-			return runMeteredPair(t,
-				func(c transport.Conn) (*Result, error) { return HorizontalAlice(c, cfg, testAlicePts) },
-				func(c transport.Conn) (*Result, error) { return HorizontalBob(c, cfg, testBobPts) })
-		}},
-		{"horizontal/blobs", func(t *testing.T, cfg Config) eqOutcome {
-			return runMeteredPair(t,
-				func(c transport.Conn) (*Result, error) { return HorizontalAlice(c, cfg, hsplit.Alice) },
-				func(c transport.Conn) (*Result, error) { return HorizontalBob(c, cfg, hsplit.Bob) })
-		}},
-		{"enhanced/grid", func(t *testing.T, cfg Config) eqOutcome {
-			return runMeteredPair(t,
-				func(c transport.Conn) (*Result, error) { return EnhancedHorizontalAlice(c, cfg, testAlicePts) },
-				func(c transport.Conn) (*Result, error) { return EnhancedHorizontalBob(c, cfg, testBobPts) })
-		}},
-		{"vertical/blobs", func(t *testing.T, cfg Config) eqOutcome {
-			return runMeteredPair(t,
-				func(c transport.Conn) (*Result, error) { return VerticalAlice(c, cfg, vsplit.Alice) },
-				func(c transport.Conn) (*Result, error) { return VerticalBob(c, cfg, vsplit.Bob) })
-		}},
-		{"arbitrary/blobs", func(t *testing.T, cfg Config) eqOutcome {
-			return runMeteredPair(t,
-				func(c transport.Conn) (*Result, error) {
-					return ArbitraryAlice(c, cfg, asplit.Alice, asplit.Owners)
-				},
-				func(c transport.Conn) (*Result, error) {
-					return ArbitraryBob(c, cfg, asplit.Bob, asplit.Owners)
-				})
-		}},
+// equivalenceSessions is the protocol table as long-lived session
+// constructors: every protocol family over the hand-built grid fixture or
+// the seeded blob sample.
+func equivalenceSessions(t *testing.T) []sessionFamily {
+	t.Helper()
+	d := equivalenceSplits(t)
+	return []sessionFamily{
+		{"horizontal/grid",
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewHorizontalSession(c, cfg, RoleAlice, testAlicePts)
+			},
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewHorizontalSession(c, cfg, RoleBob, testBobPts)
+			}},
+		{"horizontal/blobs",
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewHorizontalSession(c, cfg, RoleAlice, d.h.Alice)
+			},
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewHorizontalSession(c, cfg, RoleBob, d.h.Bob)
+			}},
+		{"enhanced/grid",
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewEnhancedHorizontalSession(c, cfg, RoleAlice, testAlicePts)
+			},
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewEnhancedHorizontalSession(c, cfg, RoleBob, testBobPts)
+			}},
+		{"vertical/blobs",
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewVerticalSession(c, cfg, RoleAlice, d.v.Alice)
+			},
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewVerticalSession(c, cfg, RoleBob, d.v.Bob)
+			}},
+		{"arbitrary/blobs",
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewArbitrarySession(c, cfg, RoleAlice, d.a.Alice, d.a.Owners)
+			},
+			func(c transport.Conn, cfg Config) (*Session, error) {
+				return NewArbitrarySession(c, cfg, RoleBob, d.a.Bob, d.a.Owners)
+			}},
 	}
+}
+
+// equivalenceProtocols returns the protocol table as one-shot runs: each
+// family's session constructor under runOneShot, over metered pipes.
+func equivalenceProtocols(t *testing.T) []eqProtocol {
+	t.Helper()
+	var out []eqProtocol
+	for _, fam := range equivalenceSessions(t) {
+		out = append(out, eqProtocol{fam.name, func(t *testing.T, cfg Config) eqOutcome {
+			return runMeteredPair(t,
+				func(c transport.Conn) (*Result, error) { return runOneShot(fam.newA(c, cfg)) },
+				func(c transport.Conn) (*Result, error) { return runOneShot(fam.newB(c, cfg)) })
+		}})
+	}
+	return out
 }
 
 func assertSameOutcome(t *testing.T, seq, bat eqOutcome) {

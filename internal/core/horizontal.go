@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/compare"
-	"repro/internal/dbscan"
 	"repro/internal/fixedpoint"
 	"repro/internal/partition"
 	"repro/internal/spatial"
@@ -563,81 +562,32 @@ func encodeHBatch(s *session, values [][]float64) ([][]int64, error) {
 // by replacing Alice for Bob" — Algorithm 3).
 func horizontalRunOnce(t *Session, hs *hStream, fam hFamily) (*Result, error) {
 	s := t.s
-	var drive func() ([]int, int, error)
-	var respond func() error
-	if s.parallel() > 1 {
-		drive = func() ([]int, int, error) { return parallelHPassDriver(s, t.conns, hs, fam) }
-		respond = func() error { return parallelHPassResponder(s, t.conns, hs, fam) }
-	} else {
-		seqDriver, seqResponder := basicPassDriver, basicPassResponder
-		if fam == hEnhanced {
-			seqDriver, seqResponder = enhancedPassDriver, enhancedPassResponder
+	if s.role == RoleBob {
+		if err := respondPass(s, t.conns, hs, fam); err != nil {
+			return nil, err
 		}
-		drive = func() ([]int, int, error) { return seqDriver(s, t.conns[0], hs) }
-		respond = func() error { return seqResponder(s, t.conns[0], hs) }
 	}
-
-	var labels []int
-	var clusters int
-	var err error
+	labels, clusters, err := drivePass(s, t.conns, hs, fam)
+	if err != nil {
+		return nil, err
+	}
 	if s.role == RoleAlice {
-		labels, clusters, err = drive()
-		if err != nil {
-			return nil, err
-		}
-		if err := respond(); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := respond(); err != nil {
-			return nil, err
-		}
-		labels, clusters, err = drive()
-		if err != nil {
+		if err := respondPass(s, t.conns, hs, fam); err != nil {
 			return nil, err
 		}
 	}
 	return t.result(labels, clusters), nil
 }
 
-// basicPassDriver implements Algorithm 3/4 from the driving party's side.
-func basicPassDriver(s *session, conn transport.Conn, hs *hStream) ([]int, int, error) {
-	engA, _, err := s.distEngines()
-	if err != nil {
-		return nil, 0, err
-	}
+// drivePass is Algorithm 3/4 (basic) or 7/8 (enhanced) from the driving
+// party's side, on the wave scheduler: the DBSCAN control flow is
+// Algorithm 4's, the per-query core decision — an HDP region count or the
+// enhanced share–select–compare bit — runs over whichever worker channel
+// the wave assigned, and only the driver's own points enter the seed
+// queue. opDone then releases every responder worker.
+func drivePass(s *session, conns []transport.Conn, hs *hStream, fam hFamily) ([]int, int, error) {
 	h := &hPass{s: s, hs: hs, own: hs.enc, nPeer: hs.nPeer}
-
-	labels := make([]int, len(h.own))
-	for i := range labels {
-		labels[i] = dbscan.Unclassified
-	}
-	clusterID := 0
-	for i := range h.own {
-		if labels[i] != dbscan.Unclassified {
-			continue
-		}
-		expanded, err := h.expandCluster(conn, i, clusterID+1, labels, engA)
-		if err != nil {
-			return nil, 0, err
-		}
-		if expanded {
-			clusterID++
-		}
-	}
-	setTag(conn, "hdp.op")
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutUint(opDone)); err != nil {
-		return nil, 0, err
-	}
-	return labels, clusterID, nil
-}
-
-// parallelHPassDriver is the scheduler-backed driving pass shared by the
-// basic and enhanced protocols: the per-query decision runs over whichever
-// worker channel the wave assigned.
-func parallelHPassDriver(s *session, conns []transport.Conn, hs *hStream, fam hFamily) ([]int, int, error) {
-	h := &hPass{s: s, hs: hs, own: hs.enc, nPeer: hs.nPeer}
-	var decide decideFn
+	var decide func(conn transport.Conn, point, ownCount int) (bool, error)
 	var opTag string
 	switch fam {
 	case hBasic:
@@ -663,7 +613,9 @@ func parallelHPassDriver(s *session, conns []transport.Conn, hs *hStream, fam hF
 			return enhancedIsCore(h, conn, point, ownCount, shareA, finalA)
 		}
 	}
-	labels, clusters, err := parallelDrive(conns, h.own, h.localRegionQuery, decide)
+	labels, clusters, err := WaveDrive(len(h.own), len(conns), h.localRegionQuery, func(w, point, ownCount int) (bool, error) {
+		return decide(conns[w], point, ownCount)
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -673,9 +625,9 @@ func parallelHPassDriver(s *session, conns []transport.Conn, hs *hStream, fam hF
 	return labels, clusters, nil
 }
 
-// parallelHPassResponder serves a driving pass across the session's
+// respondPass serves the peer's driving pass across the session's
 // worker channels, one responder worker per channel.
-func parallelHPassResponder(s *session, conns []transport.Conn, hs *hStream, fam hFamily) error {
+func respondPass(s *session, conns []transport.Conn, hs *hStream, fam hFamily) error {
 	switch fam {
 	case hBasic:
 		_, engB, err := s.distEngines()
@@ -852,77 +804,4 @@ func (h *hPass) remoteCount(conn transport.Conn, i int, eng compare.Alice) (int,
 		h.hs.hdpExtend(i, g, g+1, fresh)
 	}
 	return count, nil
-}
-
-// expandCluster is Algorithm 4. Only the driver's own points enter the
-// seed queue; the peer's points contribute to the MinPts counts only.
-func (h *hPass) expandCluster(conn transport.Conn, point, clusterID int, labels []int, eng compare.Alice) (bool, error) {
-	seedsA := h.localRegionQuery(point)
-	countB, err := h.remoteCount(conn, point, eng)
-	if err != nil {
-		return false, err
-	}
-	if len(seedsA)+countB < h.s.cfg.MinPts {
-		labels[point] = dbscan.Noise
-		return false, nil
-	}
-	for _, sd := range seedsA {
-		labels[sd] = clusterID
-	}
-	queue := make([]int, 0, len(seedsA))
-	for _, sd := range seedsA {
-		if sd != point {
-			queue = append(queue, sd)
-		}
-	}
-	for len(queue) > 0 {
-		current := queue[0]
-		queue = queue[1:]
-		resultA := h.localRegionQuery(current)
-		countB, err := h.remoteCount(conn, current, eng)
-		if err != nil {
-			return false, err
-		}
-		if len(resultA)+countB < h.s.cfg.MinPts {
-			continue
-		}
-		for _, r := range resultA {
-			if labels[r] == dbscan.Unclassified || labels[r] == dbscan.Noise {
-				if labels[r] == dbscan.Unclassified {
-					queue = append(queue, r)
-				}
-				labels[r] = clusterID
-			}
-		}
-	}
-	return true, nil
-}
-
-// basicPassResponder serves the peer's Algorithm 3/4 pass.
-func basicPassResponder(s *session, conn transport.Conn, hs *hStream) error {
-	_, engB, err := s.distEngines()
-	if err != nil {
-		return err
-	}
-	for {
-		setTag(conn, "hdp.op")
-		r, err := transport.RecvMsg(conn)
-		if err != nil {
-			return fmt.Errorf("core: responder recv op: %w", err)
-		}
-		op := r.Uint()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		switch op {
-		case opQuery:
-			if err := serveBasicQuery(s, conn, s.rng, engB, hs, r); err != nil {
-				return err
-			}
-		case opDone:
-			return nil
-		default:
-			return fmt.Errorf("core: responder got unexpected op %d", op)
-		}
-	}
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sync"
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/compare"
@@ -11,12 +12,14 @@ import (
 
 // The parallel equivalence harness: every protocol family must produce
 // identical labels, cluster counts, full leakage Ledgers, and secure-
-// comparison totals whether its queries run on the single sequential
-// connection (W = 1) or across the scheduler's worker channels (W > 1).
-// The scheduler only prefetches work the sequential schedule would
+// comparison totals whether its queries run on the bare connection
+// (W = 1) or across the scheduler's worker channels (W > 1). The
+// scheduler only prefetches work a one-query-at-a-time schedule would
 // execute anyway, so the executed sub-protocol multiset — and every
 // count-based observable — is invariant; this test pins that contract
-// across W and both pruning modes.
+// across W and both pruning modes, for one-shot runs and for both runs
+// of a two-run session, whose second run is answered from the cross-run
+// caches (equal cache-hit counts at every width).
 
 func parallelCfg(engine compare.EngineKind, w int, pruning PruneMode) Config {
 	cfg := testCfg(engine)
@@ -53,6 +56,34 @@ func TestParallelEquivalenceAcrossWorkerWidths(t *testing.T) {
 						t.Errorf("W=%d: comparison totals diverge: %d/%d vs %d/%d",
 							w, par.ra.SecureComparisons, par.rb.SecureComparisons,
 							base.ra.SecureComparisons, base.rb.SecureComparisons)
+					}
+				}
+			})
+		}
+		for _, fam := range equivalenceSessions(t) {
+			t.Run(string(pruning)+"/session/"+fam.name, func(t *testing.T) {
+				baseA, baseB, _, _, _ := runSessionN(t, fam, parallelCfg(compare.EngineMasked, 1, pruning), 2)
+				for _, w := range []int{2, 4} {
+					parA, parB, _, _, _ := runSessionN(t, fam, parallelCfg(compare.EngineMasked, w, pruning), 2)
+					for run := range baseA {
+						for _, side := range []struct {
+							name      string
+							par, base *Result
+						}{{"alice", parA[run], baseA[run]}, {"bob", parB[run], baseB[run]}} {
+							par, base := side.par, side.base
+							if !metrics.ExactMatch(par.Labels, base.Labels) || par.NumClusters != base.NumClusters {
+								t.Errorf("W=%d run %d: %s labels diverge: %v vs %v", w, run+1, side.name, par.Labels, base.Labels)
+							}
+							if par.Leakage != base.Leakage {
+								t.Errorf("W=%d run %d: %s ledgers diverge: %v vs %v", w, run+1, side.name, par.Leakage, base.Leakage)
+							}
+							if par.SecureComparisons != base.SecureComparisons {
+								t.Errorf("W=%d run %d: %s secure comparisons %d vs %d", w, run+1, side.name, par.SecureComparisons, base.SecureComparisons)
+							}
+							if par.CachedComparisons != base.CachedComparisons {
+								t.Errorf("W=%d run %d: %s cached comparisons %d vs %d", w, run+1, side.name, par.CachedComparisons, base.CachedComparisons)
+							}
+						}
 					}
 				}
 			})
@@ -95,57 +126,31 @@ func TestParallelRejectsSequentialBatching(t *testing.T) {
 	}
 }
 
-// TestLockstepClusterParallelMatchesBatch drives the parallel lockstep
-// scheduler against a local oracle and checks labels plus the decided-
-// pair multiset against the plain batch driver.
-func TestLockstepClusterParallelMatchesBatch(t *testing.T) {
-	pts := [][]int64{{0, 0}, {1, 0}, {0, 1}, {5, 5}, {6, 5}, {5, 6}, {3, 3}, {9, 9}, {9, 8}, {8, 9}}
-	le := func(i, j int) bool {
-		dx := pts[i][0] - pts[j][0]
-		dy := pts[i][1] - pts[j][1]
-		return dx*dx+dy*dy <= 2
-	}
-	countSeq := map[[2]int]int{}
-	seqLabels, seqClusters, err := LockstepClusterBatch(len(pts), 3, func(pairs [][2]int) ([]bool, error) {
-		out := make([]bool, len(pairs))
-		for t, pr := range pairs {
-			countSeq[pr]++
-			out[t] = le(pr[0], pr[1])
+// TestServeChannelsRootCauseWins pins the responder fan-out shared by the
+// horizontal family and the multiparty mesh: when one worker fails, every
+// channel is closed so siblings blocked in Recv unwind, and the caller
+// sees the root cause rather than an induced connection-closed error —
+// also with a single channel, which runs inline.
+func TestServeChannelsRootCauseWins(t *testing.T) {
+	boom := errors.New("boom")
+	for _, w := range []int{1, 3} {
+		conns := make([]transport.Conn, w)
+		for i := range conns {
+			conns[i], _ = transport.Pipe()
 		}
-		return out, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 3, 8} {
-		countPar := map[[2]int]int{}
-		var mu sync.Mutex // batchOn runs on concurrent workers
-		parLabels, parClusters, err := LockstepClusterParallel(len(pts), 3, w, nil,
-			func(ch int, pairs [][2]int) ([]bool, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				out := make([]bool, len(pairs))
-				for t, pr := range pairs {
-					countPar[pr]++
-					out[t] = le(pr[0], pr[1])
-				}
-				return out, nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !metrics.ExactMatch(parLabels, seqLabels) || parClusters != seqClusters {
-			t.Errorf("W=%d: labels %v (%d clusters) vs sequential %v (%d)", w, parLabels, parClusters, seqLabels, seqClusters)
-		}
-		if len(countPar) != len(countSeq) {
-			t.Errorf("W=%d: decided %d distinct pairs, sequential %d", w, len(countPar), len(countSeq))
-		}
-		for pr, n := range countPar {
-			if n != 1 {
-				t.Errorf("W=%d: pair %v decided %d times", w, pr, n)
+		err := ServeChannels(conns, func(ch int) error {
+			if ch == w-1 {
+				return boom
 			}
-			if countSeq[pr] != 1 {
-				t.Errorf("W=%d: pair %v not in sequential decision set", w, pr)
+			_, err := conns[ch].Recv() // unblocked only by the close
+			return fmt.Errorf("worker %d: %w", ch, err)
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("W=%d: got %v, want the root cause", w, err)
+		}
+		for i, c := range conns {
+			if err := c.Send([]byte{0}); !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("W=%d: channel %d left open after a worker failed (send: %v)", w, i, err)
 			}
 		}
 	}

@@ -266,47 +266,14 @@ func arbitraryCellMatrix(conn transport.Conn, s *session, enc [][]int64, owners 
 
 // ---- Pruned lockstep oracles ----
 
-// PrunedBatchOracle wraps a lockstep batch oracle with grid pruning:
-// pairs in non-adjacent cells are decided out-of-range locally (onPruned,
-// when non-nil, runs their Ledger budget accounting) and only the live
-// pairs reach the inner oracle. Every participant wraps identically over
-// the shared cell matrix, so batch boundaries stay in lock step.
-func PrunedBatchOracle(cells [][]int64, onPruned func(pr [2]int), inner func(pairs [][2]int) ([]bool, error)) func(pairs [][2]int) ([]bool, error) {
-	return func(pairs [][2]int) ([]bool, error) {
-		out := make([]bool, len(pairs))
-		var live [][2]int
-		var slots []int
-		for t, pr := range pairs {
-			if spatial.Adjacent(cells[pr[0]], cells[pr[1]]) {
-				live = append(live, pr)
-				slots = append(slots, t)
-			} else if onPruned != nil {
-				onPruned(pr)
-			}
-		}
-		if len(live) == 0 {
-			return out, nil
-		}
-		res, err := inner(live)
-		if err != nil {
-			return nil, err
-		}
-		if len(res) != len(live) {
-			return nil, fmt.Errorf("core: pruned oracle got %d results for %d live pairs", len(res), len(live))
-		}
-		for u, t := range slots {
-			out[t] = res[u]
-		}
-		return out, nil
-	}
-}
-
-// PrunedLocalDecider adapts a cell matrix to LockstepClusterParallel's
-// local decision hook: nil when pruning is off (cellRows == nil),
-// otherwise the same adjacency shortcut PrunedBatchOracle applies, with
-// identical budget accounting via onPruned. The vertical/arbitrary
-// families and the multiparty ring all share it, so the pruning contract
-// has one source of truth across schedulers.
+// PrunedLocalDecider adapts a cell matrix to LockstepCluster's local
+// decision hook: nil when pruning is off (cellRows == nil), otherwise
+// pairs in non-adjacent cells are decided out of range locally, with
+// onPruned (when non-nil) running their Ledger budget accounting. Every
+// participant decides identically over the shared cell matrix, so batch
+// boundaries stay in lock step. The vertical/arbitrary families and the
+// multiparty ring all share it, so the pruning contract has one source
+// of truth.
 func PrunedLocalDecider(cellRows [][]int64, onPruned func(pr [2]int)) func(pr [2]int) (value, decided bool) {
 	if cellRows == nil {
 		return nil
@@ -319,18 +286,5 @@ func PrunedLocalDecider(cellRows [][]int64, onPruned func(pr [2]int)) func(pr [2
 			onPruned(pr)
 		}
 		return false, true
-	}
-}
-
-// PrunedPairOracle is the sequential counterpart of PrunedBatchOracle.
-func PrunedPairOracle(cells [][]int64, onPruned func(pr [2]int), inner func(i, j int) (bool, error)) func(i, j int) (bool, error) {
-	return func(i, j int) (bool, error) {
-		if !spatial.Adjacent(cells[i], cells[j]) {
-			if onPruned != nil {
-				onPruned([2]int{i, j})
-			}
-			return false, nil
-		}
-		return inner(i, j)
 	}
 }

@@ -146,8 +146,9 @@ type Session struct {
 }
 
 // sessionChannels prepares the session's worker connections: the bare
-// connection itself for W = 1 (today's byte-identical wire behavior), or
-// W multiplexed channels for the parallel scheduler.
+// connection itself for W = 1 (no mux framing), or W multiplexed
+// channels for W > 1. The drivers address channels by worker slot, so
+// they run unchanged over either.
 func sessionChannels(conn transport.Conn, w int) (*transport.Mux, []transport.Conn) {
 	if w <= 1 {
 		return nil, []transport.Conn{conn}

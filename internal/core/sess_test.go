@@ -66,6 +66,14 @@ func sessionFamilies() []sessionFamily {
 // observed on the wire.
 func runSessionN(t *testing.T, fam sessionFamily, cfg Config, n int) (resA, resB []*Result, setupA, setupB Ledger, handshakeFrames int64) {
 	t.Helper()
+	resA, resB, setupA, setupB, tags := runSessionMetered(t, fam, cfg, n)
+	return resA, resB, setupA, setupB, tags["handshake"].MessagesSent
+}
+
+// runSessionMetered is runSessionN returning the full per-tag wire
+// accounting of both parties, merged.
+func runSessionMetered(t *testing.T, fam sessionFamily, cfg Config, n int) (resA, resB []*Result, setupA, setupB Ledger, tags map[string]transport.Stats) {
+	t.Helper()
 	ca, cb := transport.Pipe()
 	ma, mb := transport.NewMeter(ca), transport.NewMeter(cb)
 	var mu sync.Mutex
@@ -114,8 +122,7 @@ func runSessionN(t *testing.T, fam sessionFamily, cfg Config, n int) (resA, resB
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := transport.Merge(ma, mb)
-	return resA, resB, setupA, setupB, merged["handshake"].MessagesSent
+	return resA, resB, setupA, setupB, transport.Merge(ma, mb)
 }
 
 func TestSessionReuseMatchesFreshSessions(t *testing.T) {

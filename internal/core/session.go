@@ -82,7 +82,6 @@ type session struct {
 	pool *paillier.Pool
 
 	random io.Reader
-	rng    permSource // permutation source (Algorithm 4's SetOfPointsOfBobPermutation)
 
 	// Grid-pruning state (Config.Pruning): cellW is the Eps-grid cell
 	// width; pruneOn reports whether pruning is active for this session —
@@ -148,22 +147,21 @@ func (s *session) takeLedger() Ledger {
 func (s *session) parallel() int { return s.cfg.Parallel }
 
 // permSource supplies the per-query candidate permutations (Algorithm
-// 4's SetOfPointsOfBobPermutation): the session's shared source in the
-// sequential schedule, a per-channel derived source under the parallel
-// scheduler. The production source is a crypto/rand-backed Fisher–Yates
-// shuffle (see perm.go) — response permutations are responder-hiding
-// state, so they must not come from a generator whose future output is
-// predictable from observations. Seeded sessions (tests) substitute a
-// deterministic splitmix64-backed source.
+// 4's SetOfPointsOfBobPermutation), one source per responder worker
+// channel (channelRng). The production source is a crypto/rand-backed
+// Fisher–Yates shuffle (see perm.go) — never math/rand: response
+// permutations are responder-hiding state, so they must not come from a
+// generator whose future output is predictable from observations. Seeded
+// sessions (tests) substitute a deterministic splitmix64-backed source.
 type permSource interface {
 	Perm(n int) []int
 }
 
-// channelRng derives the permutation source for one worker channel in
-// parallel mode. Worker channels consume permutations concurrently, so
-// each gets its own source instead of sharing s.rng; permutations only
-// hide which peer point answered which slot, so labels and count-based
-// Ledger classes are unaffected by the split.
+// channelRng derives the permutation source for one responder worker
+// channel. Worker channels consume permutations concurrently, so each
+// gets its own source; permutations only hide which peer point answered
+// which slot, so labels and count-based Ledger classes do not depend on
+// the width W.
 func (s *session) channelRng(ch int) (permSource, error) {
 	if s.cfg.Seed != 0 {
 		return newSeededPerm(uint64(s.cfg.Seed+int64(s.role)+1) + 7919*uint64(ch+1)), nil
@@ -312,15 +310,6 @@ func newSession(conn transport.Conn, cfg Config, role Role, proto string, ownDim
 	s.peerRSA, err = yao.UnmarshalRSAPublicKey(rsaNB, rsaEB)
 	if err != nil {
 		return nil, peerInfo{}, err
-	}
-
-	// Permutation source: deterministic when seeded (tests), else a
-	// crypto/rand-backed Fisher–Yates — never math/rand, whose output is
-	// predictable from observations and would weaken responder hiding.
-	if cfg.Seed != 0 {
-		s.rng = newSeededPerm(uint64(cfg.Seed + int64(role) + 1))
-	} else {
-		s.rng = cryptoPerm{r: random}
 	}
 
 	s.shareV = int64(1) << uint(cfg.ShareMaskBits)

@@ -21,14 +21,14 @@ import (
 // PA + PB ≤ Eps² per pair (Theorem 10's only disclosure).
 //
 // Round structure (Config.Batching): under the default batched mode the
-// lockstep driver submits every yet-undecided pair of one neighborhood
-// query as a single BatchLess — 3 vdp.cmp frames per neighborhood, O(n)
-// round trips for the whole run instead of the sequential O(n²). The
-// per-pair payloads, the decided predicates, and the PairDecisions Ledger
-// count are identical in both modes. Under the parallel scheduler
-// (Config.Parallel = W > 1) the batches of up to W upcoming neighborhoods
-// ride separate worker channels concurrently (LockstepClusterParallel),
-// overlapping their round trips with identical decided pairs.
+// lockstep driver (LockstepCluster) submits every yet-undecided pair of
+// one neighborhood query as a single BatchLess — 3 vdp.cmp frames per
+// neighborhood, O(n) round trips for the whole run instead of the
+// sequential mode's per-pair O(n²). The per-pair payloads, the decided
+// predicates, and the PairDecisions Ledger count are identical in both
+// modes. With Config.Parallel = W > 1 the batches of up to W upcoming
+// neighborhoods ride separate worker channels concurrently, overlapping
+// their round trips with identical decided pairs.
 //
 // This is the one-shot form; NewVerticalSession establishes a long-lived
 // session whose index exchange and keys serve many Run calls.
@@ -380,7 +380,6 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 	s := t.s
 	role := s.role
 	enc := vs.enc
-	cellRows := vs.cellRows
 	engA, engB, err := s.distEngines()
 	if err != nil {
 		return nil, err
@@ -392,7 +391,8 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 	}
 	// Fixed comparison roles for the whole run: Alice always holds the
 	// left value (her partial sum PA), Bob the right (Eps² − PB).
-	pairLEBatchOn := func(conn transport.Conn, pairs [][2]int) ([]bool, error) {
+	batchOn := func(ch int, pairs [][2]int) ([]bool, error) {
+		conn := t.conns[ch]
 		setTag(conn, "vdp.cmp")
 		s.led(func(l *Ledger) { l.PairDecisions += len(pairs) })
 		vals := make([]int64, len(pairs))
@@ -409,23 +409,8 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 		}
 		return engB.BatchLess(conn, vals)
 	}
-
-	var labels []int
-	var clusters int
-	switch {
-	case s.parallel() > 1:
-		labels, clusters, err = LockstepClusterParallelCached(len(enc), s.cfg.MinPts, s.parallel(),
-			vs.cache, onCached,
-			PrunedLocalDecider(cellRows, onPruned),
-			func(ch int, pairs [][2]int) ([]bool, error) { return pairLEBatchOn(t.conns[ch], pairs) })
-	case s.batched():
-		oracle := func(pairs [][2]int) ([]bool, error) { return pairLEBatchOn(t.conns[0], pairs) }
-		if s.pruneOn {
-			oracle = PrunedBatchOracle(cellRows, onPruned, oracle)
-		}
-		labels, clusters, err = LockstepClusterBatchCached(len(enc), s.cfg.MinPts, vs.cache, onCached, oracle)
-	default:
-		pairLE := func(i, j int) (bool, error) {
+	if !s.batched() {
+		batchOn = PairwiseBatch(func(i, j int) (bool, error) {
 			setTag(t.conns[0], "vdp.cmp")
 			s.led(func(l *Ledger) { l.PairDecisions++ })
 			partial := partialDistSq(enc, i, j)
@@ -433,12 +418,10 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 				return distLessEqDriver(t.conns[0], engA, partial)
 			}
 			return distLessEqResponder(t.conns[0], engB, s, partial)
-		}
-		if s.pruneOn {
-			pairLE = PrunedPairOracle(cellRows, onPruned, pairLE)
-		}
-		labels, clusters, err = LockstepClusterCached(len(enc), s.cfg.MinPts, vs.cache, onCached, pairLE)
+		})
 	}
+	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.parallel(),
+		vs.cache, onCached, PrunedLocalDecider(vs.cellRows, onPruned), batchOn)
 	if err != nil {
 		return nil, err
 	}

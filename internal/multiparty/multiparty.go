@@ -21,7 +21,9 @@
 // between coordinator (left: t) and last party (right: Eps² + v) — over
 // the existing ring edge, using either engine from internal/compare —
 // yields the within-Eps bit, which the coordinator then circulates around
-// the ring. All parties run core.LockstepCluster with this oracle.
+// the ring. All parties run core.LockstepCluster with this oracle — one
+// circulation per pair under sequential rounds (pairLE), one per
+// neighborhood batch under batched rounds (pairLEBatchOn).
 //
 // With k = 2 the ring degenerates to the two-party vertical protocol
 // (party 1 is both accumulator and masker), which the tests use for
@@ -108,7 +110,7 @@ type Config struct {
 	// sub-queries out concurrently across the mesh edges. All parties must
 	// agree (checked by the ring token / mesh handshake); W > 1 requires
 	// the batched round structure. Labels and disclosure counts are
-	// identical to the sequential schedule.
+	// identical to the W = 1 schedule.
 	Parallel int
 
 	// Pool, when non-nil, routes this party's Paillier/RSA batch

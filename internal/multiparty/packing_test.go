@@ -221,7 +221,7 @@ func TestMeshPackingEquivalence(t *testing.T) {
 // TestMeshPackingParallelNoGrowth pins the wave scheduler's ciphertext
 // contract on the mesh: with W > 1 the driving pass pipelines per-edge
 // queries across W mux channels, but the query multiset is identical to
-// the sequential schedule — so every party's ciphertext account (total,
+// the W = 1 schedule — so every party's ciphertext account (total,
 // uplink leg, downlink leg) must be exactly the W = 1 count under every
 // packing mode, not merely close.
 func TestMeshPackingParallelNoGrowth(t *testing.T) {
