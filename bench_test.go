@@ -247,8 +247,8 @@ func BenchmarkE8CompareEngines(b *testing.B) {
 		var bytes int64
 		for i := 0; i < b.N; i++ {
 			bytes = runPair(b,
-				func(c transport.Conn) error { _, err := ae.LessEq(c, 300); return err },
-				func(c transport.Conn) error { _, err := be.LessEq(c, 700); return err },
+				func(c transport.Conn) error { _, err := ae.BatchLessEq(c, []int64{300}); return err },
+				func(c transport.Conn) error { _, err := be.BatchLessEq(c, []int64{700}); return err },
 			)
 		}
 		b.ReportMetric(float64(bytes), "wireBytes/cmp")
@@ -261,8 +261,8 @@ func BenchmarkE8CompareEngines(b *testing.B) {
 		var bytes int64
 		for i := 0; i < b.N; i++ {
 			bytes = runPair(b,
-				func(c transport.Conn) error { _, err := ae.LessEq(c, 300); return err },
-				func(c transport.Conn) error { _, err := be.LessEq(c, 700); return err },
+				func(c transport.Conn) error { _, err := ae.BatchLessEq(c, []int64{300}); return err },
+				func(c transport.Conn) error { _, err := be.BatchLessEq(c, []int64{700}); return err },
 			)
 		}
 		b.ReportMetric(float64(bytes), "wireBytes/cmp")

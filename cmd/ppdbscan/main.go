@@ -118,7 +118,7 @@ session clusters a fixed-width window at incremental cost. E19 is the
 retraction ablation: client/loadgen -retract N withdraw the N oldest
 live points after the runs and re-cluster; masked slots keep their
 padded index footprint, so the peer never learns which cells shrank.
-E20 is the plaintext-packing ablation: -packing slots (default) packs S
+E20 is the plaintext-packing ablation: -packing slots (the batched default) packs S
 fixed-point values per Paillier plaintext (slot-shifted encoding), so
 the masked-product and comparison-reply frames carry ~S× fewer
 ciphertexts; -packing off keeps one value per ciphertext for A/B
@@ -160,7 +160,7 @@ func addProtocolFlags(fs *flag.FlagSet) *protocolFlags {
 	fs.StringVar(&p.engine, "engine", "masked", "secure comparison engine: ympp|masked")
 	fs.StringVar(&p.selection, "selection", "scan", "§5 selection strategy: scan|quickselect")
 	fs.StringVar(&p.batching, "batching", "batched", "comparison round structure: batched|sequential")
-	fs.StringVar(&p.packing, "packing", "slots", "plaintext encoding: slots (slot-packed ciphertext frames)|full (slots plus the packed comparison uplink)|off (one value per ciphertext)")
+	fs.StringVar(&p.packing, "packing", "", "plaintext encoding: slots (slot-packed ciphertext frames)|full (slots plus the packed comparison uplink)|off (one value per ciphertext); default derived from -batching: slots when batched, off when sequential")
 	fs.StringVar(&p.pruning, "pruning", "grid", "candidate-set structure: grid (Eps-grid candidate index)|off (exhaustive)")
 	fs.IntVar(&p.parallel, "parallel", 1, "query scheduler worker width W (1 = sequential; >1 multiplexes W channels)")
 	fs.Int64Var(&p.seed, "seed", 1, "seed for datasets and permutations")

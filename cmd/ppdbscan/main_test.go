@@ -1,9 +1,14 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/transport"
 )
 
 func TestReadCSV(t *testing.T) {
@@ -73,6 +78,47 @@ func TestProtocolFlagsConfig(t *testing.T) {
 	p.selection = "bogus"
 	if _, err := p.config(); err == nil {
 		t.Error("bogus selection accepted")
+	}
+}
+
+// TestSequentialFlagEstablishes pins that -batching sequential needs no
+// other flag: the -packing default must follow the round structure, so
+// both parties of a session built from the parsed flags establish.
+func TestSequentialFlagEstablishes(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	p := addProtocolFlags(fs)
+	if err := fs.Parse([]string{"-batching", "sequential", "-grid", "8", "-eps", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := p.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.PaillierBits, cfg.RSABits = 256, 256 // test speed only
+	pts := [][]float64{{0, 0}, {1, 1}, {5, 5}}
+	ca, cb := transport.Pipe()
+	errs := make(chan error, 1)
+	go func() {
+		sess, err := core.NewHorizontalSession(cb, cfg, core.RoleBob, pts)
+		if err == nil {
+			_, err = sess.Run()
+			sess.Close()
+		}
+		cb.Close()
+		errs <- err
+	}()
+	sess, err := core.NewHorizontalSession(ca, cfg, core.RoleAlice, pts)
+	if err == nil {
+		_, err = sess.Run()
+		sess.Close()
+	}
+	ca.Close()
+	if err != nil {
+		t.Errorf("alice: %v", err)
+	}
+	if err := <-errs; err != nil {
+		t.Errorf("bob: %v", err)
 	}
 }
 

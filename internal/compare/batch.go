@@ -14,13 +14,16 @@ import (
 // vector of independent predicates in a constant number of message rounds
 // — three frames regardless of batch size — instead of one complete
 // sub-protocol per value. This is what collapses the per-region-query
-// round count of the distance protocols from O(nPeer) to O(1).
+// round count of the distance protocols from O(nPeer) to O(1). A
+// one-element batch is one complete sub-protocol: the paper's single
+// comparison, and the unit the Sequential adapter loops over.
 //
-// Both engines keep their scalar semantics element-wise:
+// Both engines decide every instance exactly as a one-element batch
+// would:
 //
 //   - YMPP: the batch frames carry `count` Algorithm 1 payloads
-//     (internal/yao batch forms); local cost is unchanged at
-//     O(count·Bound) but rounds drop from 3·count to 3.
+//     (internal/yao batch forms); local cost is O(count·Bound) either
+//     way, but rounds drop from 3·count to 3.
 //   - Masked: Alice packs E(a_1)…E(a_count) into one frame, Bob replies
 //     with the count masked differences computed on the parallel Paillier
 //     pool, and Alice returns the sign bits. O(count) ciphertexts in 3

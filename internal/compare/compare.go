@@ -16,12 +16,16 @@
 //     leakage; the engine exists to make n-scaling experiments tractable
 //     and to serve as the E8 ablation baseline.
 //
-// Engines are stateful about keys but stateless across calls; each call
-// performs one complete comparison sub-protocol on the supplied connection.
+// The engines have one call form: a batch. BatchLessEq/BatchLess decide a
+// vector of independent predicates in one three-frame sub-protocol
+// (batch.go), so a one-element batch is the paper's single comparison.
+// Sequential wraps an engine pair so every batch runs as a loop of
+// one-element batches — the paper-literal schedule of one sub-protocol
+// per predicate. Engines are stateful about keys but stateless across
+// calls.
 package compare
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -36,10 +40,6 @@ import (
 
 // Alice is the comparison interface for the party holding the left value.
 type Alice interface {
-	// LessEq decides a ≤ b; must pair with the Bob side's LessEq.
-	LessEq(conn transport.Conn, a int64) (bool, error)
-	// Less decides a < b; must pair with the Bob side's Less.
-	Less(conn transport.Conn, a int64) (bool, error)
 	// BatchLessEq decides a_t ≤ b_t for every t in a constant number of
 	// message rounds; must pair with the Bob side's BatchLessEq with the
 	// same batch length. An empty batch touches no network.
@@ -54,8 +54,6 @@ type Alice interface {
 
 // Bob is the comparison interface for the party holding the right value.
 type Bob interface {
-	LessEq(conn transport.Conn, b int64) (bool, error)
-	Less(conn transport.Conn, b int64) (bool, error)
 	BatchLessEq(conn transport.Conn, bs []int64) ([]bool, error)
 	BatchLess(conn transport.Conn, bs []int64) ([]bool, error)
 	Bound() int64
@@ -109,36 +107,8 @@ type YMPPBob struct {
 	Random io.Reader
 }
 
-func (a *YMPPAlice) LessEq(conn transport.Conn, v int64) (bool, error) {
-	if err := checkInput(v, a.Max); err != nil {
-		return false, err
-	}
-	return yao.AliceLessEq(conn, a.Key, v, a.Max, a.Random, a.Pool)
-}
-
-func (a *YMPPAlice) Less(conn transport.Conn, v int64) (bool, error) {
-	if err := checkInput(v, a.Max); err != nil {
-		return false, err
-	}
-	return yao.AliceLess(conn, a.Key, v, a.Max, a.Random, a.Pool)
-}
-
 func (a *YMPPAlice) Bound() int64 { return a.Max }
 func (a *YMPPAlice) Name() string { return string(EngineYMPP) }
-
-func (b *YMPPBob) LessEq(conn transport.Conn, v int64) (bool, error) {
-	if err := checkInput(v, b.Max); err != nil {
-		return false, err
-	}
-	return yao.BobLessEq(conn, b.Pub, v, b.Max, b.Random)
-}
-
-func (b *YMPPBob) Less(conn transport.Conn, v int64) (bool, error) {
-	if err := checkInput(v, b.Max); err != nil {
-		return false, err
-	}
-	return yao.BobLess(conn, b.Pub, v, b.Max, b.Random)
-}
 
 func (b *YMPPBob) Bound() int64 { return b.Max }
 func (b *YMPPBob) Name() string { return string(EngineYMPP) }
@@ -154,7 +124,7 @@ const (
 )
 
 // ErrPredicateMismatch reports that the two parties invoked different
-// predicates (LessEq on one side, Less on the other).
+// predicates (BatchLessEq on one side, BatchLess on the other).
 var ErrPredicateMismatch = errors.New("compare: parties invoked different predicates")
 
 // MaskedAlice is the decrypting side of the masked-sign engine. Pool,
@@ -168,7 +138,7 @@ var ErrPredicateMismatch = errors.New("compare: parties invoked different predic
 // the E(a_t) uplink stays one ciphertext per instance, because the
 // masking multiplier r must be independent per instance; sharing one r
 // across a packed slot group would hand Alice the exact magnitude
-// ratios of the differences. Scalar calls ignore the Packer.
+// ratios of the differences.
 //
 // UplinkPacker, when additionally non-nil ("full" packing,
 // encoding.NewUplinkComparePacker on both sides), compresses the uplink
@@ -235,138 +205,56 @@ func NewMaskedPair(key *paillier.PrivateKey, bound int64, maskBits int) (*Masked
 		&MaskedBob{Pub: &key.PublicKey, Max: bound, MaskBits: maskBits}, nil
 }
 
-func (a *MaskedAlice) run(conn transport.Conn, v int64, pred byte) (bool, error) {
-	if err := checkInput(v, a.Max); err != nil {
-		return false, err
-	}
-	random := a.Random
-	if random == nil {
-		random = rand.Reader
-	}
-	ca, err := a.Key.Encrypt(random, big.NewInt(v))
-	if err != nil {
-		return false, err
-	}
-	msg := transport.NewBuilder().PutUint(uint64(pred)).PutBig(ca)
-	if err := transport.SendMsg(conn, msg); err != nil {
-		return false, fmt.Errorf("compare: alice send: %w", err)
-	}
-	addSent(a.Sent, 1)
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return false, fmt.Errorf("compare: alice recv: %w", err)
-	}
-	ct := r.Big()
-	if r.Err() != nil {
-		return false, r.Err()
-	}
-	t, err := a.Key.DecryptSigned(ct)
-	if err != nil {
-		return false, err
-	}
-	// t = r·(b′−a) + r′ with 0 ≤ r′ < r, so t ≥ 0 ⟺ a ≤ b′.
-	le := t.Sign() >= 0
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutBool(le)); err != nil {
-		return false, fmt.Errorf("compare: alice send result: %w", err)
-	}
-	return le, nil
-}
-
-// LessEq decides a ≤ b.
-func (a *MaskedAlice) LessEq(conn transport.Conn, v int64) (bool, error) {
-	return a.run(conn, v, predLessEq)
-}
-
-// Less decides a < b.
-func (a *MaskedAlice) Less(conn transport.Conn, v int64) (bool, error) {
-	return a.run(conn, v, predLess)
-}
-
 func (a *MaskedAlice) Bound() int64 { return a.Max }
 func (a *MaskedAlice) Name() string { return string(EngineMasked) }
 
-func (b *MaskedBob) run(conn transport.Conn, v int64, pred byte) (bool, error) {
-	if err := checkInput(v, b.Max); err != nil {
-		return false, err
-	}
-	random := b.Random
-	if random == nil {
-		random = rand.Reader
-	}
-	r, err := transport.RecvMsg(conn)
-	if err != nil {
-		return false, fmt.Errorf("compare: bob recv: %w", err)
-	}
-	gotPred := byte(r.Uint())
-	ca := r.Big()
-	if r.Err() != nil {
-		return false, r.Err()
-	}
-	if gotPred != pred {
-		return false, fmt.Errorf("%w: alice=%d bob=%d", ErrPredicateMismatch, gotPred, pred)
-	}
-	bVal := v
-	if pred == predLess {
-		// a < b ⟺ a ≤ b−1.
-		bVal = v - 1
-	}
-	maskBits := b.MaskBits
-	if maskBits <= 0 {
-		maskBits = DefaultMaskBits
-	}
-	// r ∈ [1, 2^κ), r′ ∈ [0, r): t = r·(b−a) + r′ keeps sign(b−a).
-	rMask, err := rand.Int(random, new(big.Int).Lsh(big.NewInt(1), uint(maskBits)))
-	if err != nil {
-		return false, err
-	}
-	rMask.Add(rMask, big.NewInt(1))
-	rPrime, err := rand.Int(random, rMask)
-	if err != nil {
-		return false, err
-	}
-	// E(t) = E(a)^(−r) · E(b·r + r′)
-	negR := new(big.Int).Neg(rMask)
-	term1, err := b.Pub.Mul(ca, negR)
-	if err != nil {
-		return false, err
-	}
-	plain := new(big.Int).Mul(big.NewInt(bVal), rMask)
-	plain.Add(plain, rPrime)
-	term2, err := b.Pub.Encrypt(random, plain)
-	if err != nil {
-		return false, err
-	}
-	ct, err := b.Pub.Add(term1, term2)
-	if err != nil {
-		return false, err
-	}
-	if err := transport.SendMsg(conn, transport.NewBuilder().PutBig(ct)); err != nil {
-		return false, fmt.Errorf("compare: bob send: %w", err)
-	}
-	addSent(b.Sent, 1)
-	res, err := transport.RecvMsg(conn)
-	if err != nil {
-		return false, fmt.Errorf("compare: bob recv result: %w", err)
-	}
-	le := res.Bool()
-	if res.Err() != nil {
-		return false, res.Err()
-	}
-	return le, nil
-}
-
-// LessEq decides a ≤ b.
-func (b *MaskedBob) LessEq(conn transport.Conn, v int64) (bool, error) {
-	return b.run(conn, v, predLessEq)
-}
-
-// Less decides a < b.
-func (b *MaskedBob) Less(conn transport.Conn, v int64) (bool, error) {
-	return b.run(conn, v, predLess)
-}
-
 func (b *MaskedBob) Bound() int64 { return b.Max }
 func (b *MaskedBob) Name() string { return string(EngineMasked) }
+
+// Sequential wraps an engine pair so that every batch runs as a loop of
+// one-element batches, in order: the paper-literal round structure of one
+// complete three-frame comparison per predicate (Config.Batching =
+// "sequential" in internal/core and internal/multiparty). Both parties
+// must wrap, or neither.
+func Sequential(a Alice, b Bob) (Alice, Bob) {
+	return seqAlice{a}, seqBob{b}
+}
+
+type seqAlice struct{ Alice }
+
+func (s seqAlice) BatchLessEq(conn transport.Conn, as []int64) ([]bool, error) {
+	return singletons(as, func(v []int64) ([]bool, error) { return s.Alice.BatchLessEq(conn, v) })
+}
+
+func (s seqAlice) BatchLess(conn transport.Conn, as []int64) ([]bool, error) {
+	return singletons(as, func(v []int64) ([]bool, error) { return s.Alice.BatchLess(conn, v) })
+}
+
+type seqBob struct{ Bob }
+
+func (s seqBob) BatchLessEq(conn transport.Conn, bs []int64) ([]bool, error) {
+	return singletons(bs, func(v []int64) ([]bool, error) { return s.Bob.BatchLessEq(conn, v) })
+}
+
+func (s seqBob) BatchLess(conn transport.Conn, bs []int64) ([]bool, error) {
+	return singletons(bs, func(v []int64) ([]bool, error) { return s.Bob.BatchLess(conn, v) })
+}
+
+// singletons decides vs one value at a time through batch.
+func singletons(vs []int64, batch func([]int64) ([]bool, error)) ([]bool, error) {
+	out := make([]bool, len(vs))
+	for t, v := range vs {
+		bit, err := batch([]int64{v})
+		if err == nil && len(bit) != 1 {
+			err = fmt.Errorf("compare: one-element batch returned %d results", len(bit))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("compare: instance %d: %w", t, err)
+		}
+		out[t] = bit[0]
+	}
+	return out, nil
+}
 
 var (
 	_ Alice = (*YMPPAlice)(nil)

@@ -50,45 +50,40 @@ func enginePair(t testing.TB, kind EngineKind, bound int64) (Alice, Bob) {
 	return nil, nil
 }
 
+// runLessEq decides a ≤ b as a one-element batch — the paper's single
+// comparison — and returns what each party observed.
 func runLessEq(t testing.TB, ae Alice, be Bob, a, b int64) (bool, bool) {
 	t.Helper()
-	var ra, rb bool
+	var ra, rb []bool
 	err := transport.Run2(
 		func(c transport.Conn) error {
 			var err error
-			ra, err = ae.LessEq(c, a)
+			ra, err = ae.BatchLessEq(c, []int64{a})
 			return err
 		},
 		func(c transport.Conn) error {
 			var err error
-			rb, err = be.LessEq(c, b)
+			rb, err = be.BatchLessEq(c, []int64{b})
 			return err
 		},
 	)
 	if err != nil {
 		t.Fatalf("%s LessEq(%d,%d): %v", ae.Name(), a, b, err)
 	}
-	return ra, rb
+	if len(ra) != 1 || len(rb) != 1 {
+		t.Fatalf("%s LessEq(%d,%d): %d/%d results, want 1", ae.Name(), a, b, len(ra), len(rb))
+	}
+	return ra[0], rb[0]
 }
 
+// runLess is runLessEq for the strict predicate; it returns Alice's view.
 func runLess(t testing.TB, ae Alice, be Bob, a, b int64) bool {
 	t.Helper()
-	var ra bool
-	err := transport.Run2(
-		func(c transport.Conn) error {
-			var err error
-			ra, err = ae.Less(c, a)
-			return err
-		},
-		func(c transport.Conn) error {
-			_, err := be.Less(c, b)
-			return err
-		},
-	)
-	if err != nil {
-		t.Fatalf("%s Less(%d,%d): %v", ae.Name(), a, b, err)
+	got := runBatchLess(t, ae, be, []int64{a}, []int64{b})
+	if len(got) != 1 {
+		t.Fatalf("%s Less(%d,%d): %d results, want 1", ae.Name(), a, b, len(got))
 	}
-	return ra
+	return got[0]
 }
 
 func TestEnginesExhaustiveSmallDomain(t *testing.T) {
@@ -127,13 +122,13 @@ func TestInputValidation(t *testing.T) {
 	for _, kind := range []EngineKind{EngineYMPP, EngineMasked} {
 		ae, be := enginePair(t, kind, 10)
 		conn, peer := transport.Pipe()
-		if _, err := ae.LessEq(conn, -1); err == nil {
+		if _, err := ae.BatchLessEq(conn, []int64{-1}); err == nil {
 			t.Errorf("%s: negative accepted", kind)
 		}
-		if _, err := ae.LessEq(conn, 11); err == nil {
+		if _, err := ae.BatchLessEq(conn, []int64{11}); err == nil {
 			t.Errorf("%s: overflow accepted", kind)
 		}
-		if _, err := be.LessEq(conn, 11); err == nil {
+		if _, err := be.BatchLessEq(conn, []int64{11}); err == nil {
 			t.Errorf("%s: bob overflow accepted", kind)
 		}
 		conn.Close()
@@ -145,11 +140,11 @@ func TestMaskedPredicateMismatchDetected(t *testing.T) {
 	ae, be := enginePair(t, EngineMasked, 10)
 	err := transport.Run2(
 		func(c transport.Conn) error {
-			_, err := ae.LessEq(c, 5)
+			_, err := ae.BatchLessEq(c, []int64{5})
 			return err
 		},
 		func(c transport.Conn) error {
-			_, err := be.Less(c, 5)
+			_, err := be.BatchLess(c, []int64{5})
 			return err
 		},
 	)
@@ -227,8 +222,8 @@ func TestMaskedCheaperThanYMPP(t *testing.T) {
 		ca, cb := transport.Pipe()
 		mca, mcb := transport.NewMeter(ca), transport.NewMeter(cb)
 		err := transport.RunPair(mca, mcb,
-			func(c transport.Conn) error { _, err := ae.LessEq(c, 250); return err },
-			func(c transport.Conn) error { _, err := be.LessEq(c, 300); return err },
+			func(c transport.Conn) error { _, err := ae.BatchLessEq(c, []int64{250}); return err },
+			func(c transport.Conn) error { _, err := be.BatchLessEq(c, []int64{300}); return err },
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -239,5 +234,79 @@ func TestMaskedCheaperThanYMPP(t *testing.T) {
 	mBytes := measure(ma, mb)
 	if mBytes >= yBytes {
 		t.Errorf("masked engine (%d bytes) not cheaper than YMPP (%d bytes)", mBytes, yBytes)
+	}
+}
+
+// TestSequentialSingletons pins the sequential adapter: a k-element batch
+// through Sequential decides the same predicates as the plain engine, in
+// k one-element sub-protocols of three frames each, and an empty batch
+// still touches no network.
+func TestSequentialSingletons(t *testing.T) {
+	as := []int64{0, 3, 7, 10, 5, 5}
+	bs := []int64{10, 3, 2, 0, 6, 4}
+	for _, kind := range []EngineKind{EngineYMPP, EngineMasked} {
+		t.Run(string(kind), func(t *testing.T) {
+			ae, be := enginePair(t, kind, 10)
+			sa, sb := Sequential(ae, be)
+			if sa.Name() != ae.Name() || sb.Bound() != be.Bound() {
+				t.Errorf("adapter renamed the engine: %s/%d", sa.Name(), sb.Bound())
+			}
+			for _, n := range []int{0, len(as)} {
+				ca, cb := transport.Pipe()
+				ma, mb := transport.NewMeter(ca), transport.NewMeter(cb)
+				var le, lt []bool
+				err := transport.RunPair(ma, mb,
+					func(transport.Conn) error {
+						var err error
+						if le, err = sa.BatchLessEq(ma, as[:n]); err != nil {
+							return err
+						}
+						lt, err = sa.BatchLess(ma, as[:n])
+						return err
+					},
+					func(transport.Conn) error {
+						if _, err := sb.BatchLessEq(mb, bs[:n]); err != nil {
+							return err
+						}
+						_, err := sb.BatchLess(mb, bs[:n])
+						return err
+					},
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(le) != n || len(lt) != n {
+					t.Fatalf("n=%d: got %d/%d results", n, len(le), len(lt))
+				}
+				for i := 0; i < n; i++ {
+					if le[i] != (as[i] <= bs[i]) || lt[i] != (as[i] < bs[i]) {
+						t.Errorf("instance %d (%d vs %d): LessEq=%v Less=%v", i, as[i], bs[i], le[i], lt[i])
+					}
+				}
+				if got, want := ma.Stats().MessagesSent+mb.Stats().MessagesSent, int64(2*3*n); got != want {
+					t.Errorf("n=%d: %d frames, want %d (3 per predicate)", n, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSequentialStopsAtFirstError checks that an out-of-range value fails
+// its own instance: the earlier instances have already run, as they did
+// one comparison at a time, and no later one starts.
+func TestSequentialStopsAtFirstError(t *testing.T) {
+	ae, be := enginePair(t, EngineMasked, 10)
+	sa, sb := Sequential(ae, be)
+	ca, cb := transport.Pipe()
+	ma, mb := transport.NewMeter(ca), transport.NewMeter(cb)
+	err := transport.RunPair(ma, mb,
+		func(transport.Conn) error { _, err := sa.BatchLessEq(ma, []int64{1, 11, 2}); return err },
+		func(transport.Conn) error { _, err := sb.BatchLessEq(mb, []int64{4, 4, 4}); return err },
+	)
+	if err == nil {
+		t.Fatal("out-of-range instance accepted")
+	}
+	if n := ma.Stats().MessagesSent; n != 2 {
+		t.Errorf("alice sent %d frames, want the 2 of instance 0 only", n)
 	}
 }

@@ -103,6 +103,7 @@ func (b *MaskedBob) sampleMasks(vs []int64, pred byte, random io.Reader) (rMasks
 			// a < b ⟺ a ≤ b−1.
 			bVal = v - 1
 		}
+		// r ∈ [1, 2^κ), r′ ∈ [0, r): t = r·(b−a) + r′ keeps sign(b−a).
 		rMask, err := rand.Int(random, maskSpace)
 		if err != nil {
 			return nil, nil, err

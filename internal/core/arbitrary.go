@@ -30,8 +30,10 @@ import (
 // lockstep driver hands a whole neighborhood of pairs to batchLE: the
 // mixed-cell cross terms of every pair share one Multiplication Protocol
 // exchange and the threshold decisions share one BatchLess — a constant
-// number of adp.mp/adp.cmp frames per neighborhood instead of one
-// exchange per pair, with identical per-pair algebra and Ledger entries.
+// number of adp.mp/adp.cmp frames per neighborhood. Under sequential
+// rounds PairwiseBatch hands batchLE one pair at a time, so each pair
+// pays its own exchange and comparison, with identical per-pair algebra
+// and Ledger entries.
 func ArbitraryAlice(conn transport.Conn, cfg Config, values [][]float64, owners [][]partition.Owner) (*Result, error) {
 	return runOneShot(NewArbitrarySession(conn, cfg, RoleAlice, values, owners))
 }
@@ -464,19 +466,9 @@ func arbitraryRunOnce(t *Session, as *aStream) (*Result, error) {
 	batchOn := func(ch int, pairs [][2]int) ([]bool, error) {
 		return a.batchLE(t.conns[ch], pairs, engA, engB)
 	}
-	if !s.batched() {
-		batchOn = PairwiseBatch(func(i, j int) (bool, error) {
-			ownSum, err := a.localAndCrossSum(t.conns[0], i, j)
-			if err != nil {
-				return false, err
-			}
-			setTag(t.conns[0], "adp.cmp")
-			s.led(func(l *Ledger) { l.PairDecisions++ })
-			if role == RoleAlice {
-				return distLessEqDriver(t.conns[0], engA, ownSum)
-			}
-			return distLessEqResponder(t.conns[0], engB, s, ownSum)
-		})
+	if s.cfg.Batching == BatchModeSequential {
+		// One Multiplication Protocol exchange per pair, as in §4.4.
+		batchOn = PairwiseBatch(batchOn)
 	}
 	labels, clusters, err := LockstepCluster(len(a.enc), s.cfg.MinPts, s.parallel(),
 		as.cache, onCached, PrunedLocalDecider(as.cellRows, onPruned), batchOn)
@@ -591,46 +583,11 @@ func (a *adpState) hasMixed(i, j int) bool {
 	return false
 }
 
-// localAndCrossSum computes this party's additive share of dist²(d_i, d_j):
-// locally-owned attribute terms plus this party's side of the mixed-cell
-// cross terms, running one Multiplication Protocol exchange per pair.
-func (a *adpState) localAndCrossSum(conn transport.Conn, i, j int) (int64, error) {
-	local, mixedVals := a.pairTerms(i, j)
-	if len(mixedVals) == 0 {
-		return local, nil
-	}
-
-	// Cross terms −2ab, Bob receiving (the §4.4 convention: "use Protocol
-	// HDP to let Bob get" the horizontal part).
-	setTag(conn, "adp.mp")
-	if a.role == RoleAlice {
-		masks, err := mpc.ZeroSumMasks(a.s.random, len(mixedVals), a.s.maskBound())
-		if err != nil {
-			return 0, err
-		}
-		if err := mpc.SenderBatchMultiply(conn, a.s.peerPai, mixedVals, masks, a.s.random, a.s.pool); err != nil {
-			return 0, fmt.Errorf("core: adp multiplication: %w", err)
-		}
-		// Zero-sum masks cancel: Alice's share needs no correction.
-		return local, nil
-	}
-	us, err := mpc.ReceiverBatchMultiply(conn, a.s.paiKey, mixedVals, a.s.random, a.s.pool)
-	if err != nil {
-		return 0, fmt.Errorf("core: adp multiplication: %w", err)
-	}
-	cross, err := sumInt64(us)
-	if err != nil {
-		return 0, err
-	}
-	a.s.led(func(l *Ledger) { l.DotProducts++ })
-	return local - 2*cross, nil
-}
-
 // batchLE decides every pair of one lockstep neighborhood in a constant
 // number of round trips: the mixed-cell cross terms of all pairs ride one
 // Multiplication Protocol exchange (zero-sum masks stay per-pair, so each
-// pair's share algebra is exactly the sequential protocol's), then one
-// BatchLess settles all the threshold comparisons.
+// pair's share algebra is exactly a one-pair call's), then one BatchLess
+// settles all the threshold comparisons.
 func (a *adpState) batchLE(conn transport.Conn, pairs [][2]int, engA compare.Alice, engB compare.Bob) ([]bool, error) {
 	s := a.s
 	ownSums := make([]int64, len(pairs))
@@ -644,6 +601,9 @@ func (a *adpState) batchLE(conn transport.Conn, pairs [][2]int, engA compare.Ali
 	}
 
 	if totalMixed > 0 {
+		// Cross terms −2ab, Bob receiving (the §4.4 convention: "use
+		// Protocol HDP to let Bob get" the horizontal part). The zero-sum
+		// masks cancel, so Alice's share needs no correction.
 		setTag(conn, "adp.mp")
 		if a.role == RoleAlice {
 			ys := make([]int64, 0, totalMixed)

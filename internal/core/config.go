@@ -61,12 +61,17 @@ type Config struct {
 	// scan (default) or quickselect.
 	Selection SelectionKind
 
-	// Batching selects between the batched round structure (default: one
-	// constant-round BatchLessEq per region query / lockstep neighborhood)
-	// and the paper-literal sequential structure (one secure-comparison
-	// sub-protocol round trip per candidate pair), kept for A/B
-	// measurement. Both paths produce identical labels and identical
-	// leakage Ledgers; the equivalence harness in core_test enforces this.
+	// Batching selects how many predicates one comparison sub-protocol
+	// carries. Every protocol step submits its independent comparisons as
+	// one batch; under the default batched rounds that batch travels in
+	// one constant-round BatchLessEq per region query / lockstep
+	// neighborhood, and under the paper-literal sequential rounds the
+	// session's engines split it into one-element batches — one
+	// secure-comparison round trip per candidate pair (the arbitrary
+	// family also runs one Multiplication Protocol exchange per pair),
+	// kept for A/B measurement. Both produce identical labels and
+	// identical leakage Ledgers; the equivalence harness in core_test
+	// enforces this.
 	Batching BatchMode
 
 	// Pruning selects the candidate-set structure of the secure distance

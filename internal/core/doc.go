@@ -148,27 +148,36 @@
 //
 // # Round structure and batching
 //
-// Config.Batching selects between two round structures with identical
-// outputs and identical leakage:
+// Every protocol step issues its mutually independent secure comparisons
+// as one compare.BatchLessEq / BatchLess — the only comparison call form
+// — and Config.Batching decides how many predicates one three-frame
+// sub-protocol carries. Both round structures have identical outputs and
+// identical leakage:
 //
-//   - batched (default): every protocol step whose secure comparisons are
-//     mutually independent issues them as one compare.BatchLessEq /
-//     BatchLess — three frames per step regardless of how many predicates
-//     it settles. An HDP region query costs ≤ 3 hdp.cmp frames instead of
-//     3·nPeer; a lockstep neighborhood (vertical/arbitrary, via
-//     LockstepCluster) costs a constant number of vdp.cmp/adp.cmp
-//     frames instead of 3 per pair; the enhanced selection runs tournament
-//     (scan) or per-pivot (quickselect) batches. Underneath, all Paillier
-//     work rides the parallel pool (paillier.EncryptBatch/DecryptBatch on
-//     the session's paillier.Pool handle — process-shared and bounded on
-//     a server, GOMAXPROCS for a solo run), so the round collapse comes
-//     with a wall-clock collapse on multi-core hosts.
-//   - sequential: the paper-literal schedule — one comparison sub-protocol
-//     per candidate pair — retained for A/B measurement (experiment E13).
+//   - batched (default): the whole batch in three frames, regardless of
+//     how many predicates it settles. An HDP region query costs ≤ 3
+//     hdp.cmp frames instead of 3·nPeer; a lockstep neighborhood
+//     (vertical/arbitrary, via LockstepCluster) costs a constant number
+//     of vdp.cmp/adp.cmp frames instead of 3 per pair; the enhanced
+//     selection runs tournament (scan) or per-pivot (quickselect)
+//     batches. Underneath, all Paillier work rides the parallel pool
+//     (paillier.EncryptBatch/DecryptBatch on the session's paillier.Pool
+//     handle — process-shared and bounded on a server, GOMAXPROCS for a
+//     solo run), so the round collapse comes with a wall-clock collapse
+//     on multi-core hosts.
+//   - sequential: the paper-literal schedule — one comparison
+//     sub-protocol per candidate pair — retained for A/B measurement
+//     (experiment E13). It is decided in two places only: the session's
+//     comparison engines (compare.Sequential) split every batch into
+//     one-element batches, and the arbitrary family wraps its lockstep
+//     oracle in PairwiseBatch so each pair also pays its own
+//     Multiplication Protocol exchange. No protocol body branches on it.
 //
 // The equivalence harness (equivalence_test.go) pins the contract: both
 // modes produce identical labels, cluster counts, and Ledger entries on
-// every protocol family, with strictly fewer frames in batched mode.
+// every protocol family, with strictly fewer frames in batched mode; the
+// W=1 wire test pins each mode's per-tag frame counts under both
+// engines.
 //
 // # Plaintext packing and the encoding layer
 //

@@ -30,13 +30,16 @@ import (
 // count); both are recorded in the Ledger — see DESIGN.md §4.
 //
 // Round structure (Config.Batching): the share phase is always a single
-// round trip (ReceiverDotMany, now on the parallel Paillier pool). Under
-// the default batched mode the selection phase additionally batches every
-// independent comparison of one selection step (tournament rounds for the
-// scan, per-pivot batches for quickselect — see kthSmallestBatch), so one
-// core query costs O(k·log n) (scan) or expected O(log n) (quickselect)
-// comparison round trips instead of O(k·n)/O(n), with the exact same
-// comparison count and OrderBits leakage.
+// round trip (ReceiverDotMany, on the parallel Paillier pool). The
+// selection phase submits every independent comparison of one selection
+// step as one batch (tournament rounds for the scan, per-pivot batches
+// for quickselect — see kthSmallestBatch), so under the default batched
+// rounds one core query costs O(k·log n) (scan) or expected O(log n)
+// (quickselect) comparison round trips; under sequential rounds the
+// session's engines split each batch into one-element batches, in order,
+// for O(k·n)/O(n) round trips with the exact same comparison count and
+// OrderBits leakage. The final comparison is a one-element batch in
+// every mode.
 
 // EnhancedHorizontalAlice runs the §5 protocol as Alice. The peer must
 // concurrently run EnhancedHorizontalBob. This is the one-shot form; see
@@ -156,30 +159,21 @@ func enhancedIsCore(h *hPass, conn transport.Conn, point, ownCount int, shareA c
 	// Selection phase: index of the k-th smallest shared distance.
 	setTag(conn, "enh.select")
 	shift := s.bound + s.shareV
-	var kth, comparisons int
-	if s.batched() {
-		leb := func(pairs [][2]int) ([]bool, error) {
-			vals := make([]int64, len(pairs))
-			for t, pr := range pairs {
-				// Dist_x ≤ Dist_y ⟺ u_x − u_y ≤ v_x − v_y.
-				vals[t] = us[pr[0]] - us[pr[1]] + shift
-			}
-			if s.derivedCompare() {
-				// Full packing: the responder retained E(u_i) from the
-				// share phase and re-derives each E(u_x − u_y + shift)
-				// itself, so the selection sends no uplink ciphertexts.
-				return shareA.(compare.DerivedAlice).BatchLessEqDerived(conn, vals)
-			}
-			return shareA.BatchLessEq(conn, vals)
-		}
-		kth, comparisons, err = kthSmallestBatch(nCand, k, s.cfg.Selection, leb)
-	} else {
-		le := func(x, y int) (bool, error) {
+	leb := func(pairs [][2]int) ([]bool, error) {
+		vals := make([]int64, len(pairs))
+		for t, pr := range pairs {
 			// Dist_x ≤ Dist_y ⟺ u_x − u_y ≤ v_x − v_y.
-			return shareA.LessEq(conn, us[x]-us[y]+shift)
+			vals[t] = us[pr[0]] - us[pr[1]] + shift
 		}
-		kth, comparisons, err = kthSmallest(nCand, k, s.cfg.Selection, le)
+		if s.derivedCompare() {
+			// Full packing: the responder retained E(u_i) from the
+			// share phase and re-derives each E(u_x − u_y + shift)
+			// itself, so the selection sends no uplink ciphertexts.
+			return shareA.(compare.DerivedAlice).BatchLessEqDerived(conn, vals)
+		}
+		return shareA.BatchLessEq(conn, vals)
 	}
+	kth, comparisons, err := kthSmallestBatch(nCand, k, s.cfg.Selection, leb)
 	if err != nil {
 		return false, fmt.Errorf("core: enhanced selection: %w", err)
 	}
@@ -187,24 +181,21 @@ func enhancedIsCore(h *hPass, conn transport.Conn, point, ownCount int, shareA c
 
 	// Final phase: Dist_κ ≤ Eps² ⟺ u_κ ≤ Eps² + v_κ.
 	setTag(conn, "enh.final")
-	var core bool
+	var bits []bool
 	if s.derivedCompare() {
 		// The responder still holds E(u_κ): a one-element derived batch
 		// keeps the final comparison uplink-free too.
-		bits, derr := finalA.(compare.DerivedAlice).BatchLessEqDerived(conn, []int64{us[kth]})
-		if derr == nil && len(bits) != 1 {
-			derr = fmt.Errorf("core: derived final comparison returned %d bits", len(bits))
-		}
-		if derr != nil {
-			return false, fmt.Errorf("core: enhanced final comparison: %w", derr)
-		}
-		core = bits[0]
+		bits, err = finalA.(compare.DerivedAlice).BatchLessEqDerived(conn, []int64{us[kth]})
 	} else {
-		core, err = finalA.LessEq(conn, us[kth])
-		if err != nil {
-			return false, fmt.Errorf("core: enhanced final comparison: %w", err)
-		}
+		bits, err = finalA.BatchLessEq(conn, []int64{us[kth]})
 	}
+	if err == nil && len(bits) != 1 {
+		err = fmt.Errorf("core: final comparison returned %d bits", len(bits))
+	}
+	if err != nil {
+		return false, fmt.Errorf("core: enhanced final comparison: %w", err)
+	}
+	core := bits[0]
 	s.led(func(l *Ledger) { l.CoreBits++ })
 	h.putEnhCache(point, core)
 	return core, nil
@@ -309,50 +300,43 @@ func enhancedServeCore(s *session, conn transport.Conn, rng permSource, pts [][]
 			return err
 		}
 	}
-	var kth, comparisons int
-	var err error
-	if s.batched() {
-		leb := func(pairs [][2]int) ([]bool, error) {
-			ops := make([]int64, len(pairs))
-			for t, pr := range pairs {
-				ops[t] = vals[pr[0]] - vals[pr[1]] + shift
-			}
-			if s.derivedCompare() {
-				base := func(t int) (*big.Int, error) {
-					pr := pairs[t]
-					neg, err := s.peerPai.Mul(ds[pr[1]], big.NewInt(-1))
-					if err != nil {
-						return nil, err
-					}
-					diff, err := s.peerPai.Add(ds[pr[0]], neg)
-					if err != nil {
-						return nil, err
-					}
-					return s.peerPai.Add(diff, encShift)
+	leb := func(pairs [][2]int) ([]bool, error) {
+		ops := make([]int64, len(pairs))
+		for t, pr := range pairs {
+			ops[t] = vals[pr[0]] - vals[pr[1]] + shift
+		}
+		if s.derivedCompare() {
+			base := func(t int) (*big.Int, error) {
+				pr := pairs[t]
+				neg, err := s.peerPai.Mul(ds[pr[1]], big.NewInt(-1))
+				if err != nil {
+					return nil, err
 				}
-				return shareB.(compare.DerivedBob).BatchLessEqDerived(conn, ops, base)
+				diff, err := s.peerPai.Add(ds[pr[0]], neg)
+				if err != nil {
+					return nil, err
+				}
+				return s.peerPai.Add(diff, encShift)
 			}
-			return shareB.BatchLessEq(conn, ops)
+			return shareB.(compare.DerivedBob).BatchLessEqDerived(conn, ops, base)
 		}
-		kth, comparisons, err = kthSmallestBatch(n, k, s.cfg.Selection, leb)
-	} else {
-		le := func(x, y int) (bool, error) {
-			return shareB.LessEq(conn, vals[x]-vals[y]+shift)
-		}
-		kth, comparisons, err = kthSmallest(n, k, s.cfg.Selection, le)
+		return shareB.BatchLessEq(conn, ops)
 	}
+	kth, comparisons, err := kthSmallestBatch(n, k, s.cfg.Selection, leb)
 	if err != nil {
 		return fmt.Errorf("core: enhanced selection: %w", err)
 	}
 	s.led(func(l *Ledger) { l.OrderBits += comparisons })
 
 	setTag(conn, "enh.final")
+	final := []int64{s.epsSq + vals[kth]}
 	if s.derivedCompare() {
 		base := func(int) (*big.Int, error) { return ds[kth], nil }
-		if _, err := finalB.(compare.DerivedBob).BatchLessEqDerived(conn, []int64{s.epsSq + vals[kth]}, base); err != nil {
-			return fmt.Errorf("core: enhanced final comparison: %w", err)
-		}
-	} else if _, err := finalB.LessEq(conn, s.epsSq+vals[kth]); err != nil {
+		_, err = finalB.(compare.DerivedBob).BatchLessEqDerived(conn, final, base)
+	} else {
+		_, err = finalB.BatchLessEq(conn, final)
+	}
+	if err != nil {
 		return fmt.Errorf("core: enhanced final comparison: %w", err)
 	}
 	s.led(func(l *Ledger) { l.CoreBits++ })

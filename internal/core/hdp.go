@@ -32,20 +32,15 @@ import (
 // the per-query batch size carries no information beyond the session's
 // index exchange.
 //
-// Round structure of the Cmp phase (Config.Batching):
-//
-//	batched (default): one BatchLess carrying all nCand instances — 3
-//	    frames per query regardless of nCand, so a full region query is
-//	    ≤ 3 hdp.cmp frames plus 2 hdp.mp frames and 1 hdp.op frame, and a
-//	    whole pass costs O(n) rather than O(n·nCand) round trips. Bits are
-//	    unchanged: the same per-instance payloads travel, packed.
-//	sequential: one comparison sub-protocol (3 frames for the masked
-//	    engine, 3 for YMPP) per candidate — the paper-literal schedule,
-//	    kept for A/B measurement.
-//
-// Both schedules decide identical predicates in identical order, so
-// labels and leakage Ledgers are byte-for-byte equal; only the frame
-// count differs. The responder permutes its candidates freshly per query
+// The Cmp phase is one BatchLess over all nCand instances. Under the
+// default batched rounds (Config.Batching) that is 3 frames per query
+// regardless of nCand, so a full region query is ≤ 3 hdp.cmp frames plus
+// 2 hdp.mp frames and 1 hdp.op frame, and a whole pass costs O(n) rather
+// than O(n·nCand) round trips. Under sequential rounds the session's
+// engines run the same batch as nCand one-element batches — 3 frames per
+// candidate, the paper-literal schedule, kept for A/B measurement. Both
+// schedules decide identical predicates in identical order, so labels and
+// leakage Ledgers are byte-for-byte equal; only the frame count differs. The responder permutes its candidates freshly per query
 // (Algorithm 4's SetOfPointsOfBobPermutation), so the driver learns only
 // how many peer points are in range, not which.
 
@@ -116,30 +111,18 @@ func hdpCompareDriver(conn transport.Conn, s *session, eng compare.Alice, p []in
 	for _, x := range p {
 		ownSum += x * x
 	}
+	ops := make([]int64, nCand)
+	for i := range ops {
+		ops[i] = ownSum
+	}
+	ins, err := eng.BatchLess(conn, ops)
+	if err != nil {
+		return 0, fmt.Errorf("core: hdp batch comparison: %w", err)
+	}
 	count := 0
-	if s.batched() {
-		vs := make([]int64, nCand)
-		for i := range vs {
-			vs[i] = ownSum
-		}
-		ins, err := eng.BatchLess(conn, vs)
-		if err != nil {
-			return 0, fmt.Errorf("core: hdp batch comparison: %w", err)
-		}
-		for _, in := range ins {
-			if in {
-				count++
-			}
-		}
-	} else {
-		for i := 0; i < nCand; i++ {
-			in, err := distLessEqDriver(conn, eng, ownSum)
-			if err != nil {
-				return 0, fmt.Errorf("core: hdp comparison %d: %w", i, err)
-			}
-			if in {
-				count++
-			}
+	for _, in := range ins {
+		if in {
+			count++
 		}
 	}
 	return count, nil
@@ -230,16 +213,8 @@ func hdpServeCompare(conn transport.Conn, s *session, rng permSource, eng compar
 		}
 		js[i] = s.responderOperand(eng.Bound(), sq-2*dot.Int64())
 	}
-	if s.batched() {
-		if _, err := eng.BatchLess(conn, js); err != nil {
-			return fmt.Errorf("core: hdp batch comparison: %w", err)
-		}
-	} else {
-		for i, j := range js {
-			if _, err := eng.Less(conn, j); err != nil {
-				return fmt.Errorf("core: hdp comparison %d: %w", i, err)
-			}
-		}
+	if _, err := eng.BatchLess(conn, js); err != nil {
+		return fmt.Errorf("core: hdp batch comparison: %w", err)
 	}
 	return nil
 }

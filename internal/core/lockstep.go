@@ -209,19 +209,24 @@ func LockstepCluster(n, minPts, w int,
 	return labels, clusterID, nil
 }
 
-// PairwiseBatch adapts a per-pair oracle to LockstepCluster's batchOn:
-// the batch's pairs are decided one at a time, in order — the sequential
-// round structure (Config.Batching = "sequential"), which always runs at
-// w = 1, so the channel argument is unused.
-func PairwiseBatch(pairLE func(i, j int) (bool, error)) func(ch int, pairs [][2]int) ([]bool, error) {
-	return func(_ int, pairs [][2]int) ([]bool, error) {
+// PairwiseBatch splits every batch handed to batchOn into one-pair
+// calls, in order — the sequential round structure (Config.Batching =
+// "sequential") for oracles whose per-batch work goes beyond the
+// comparison itself (a Multiplication Protocol exchange, a ring
+// circulation), so each pair pays its own. Sequential rounds always run
+// at w = 1, so every call stays on the batch's channel.
+func PairwiseBatch(batchOn func(ch int, pairs [][2]int) ([]bool, error)) func(ch int, pairs [][2]int) ([]bool, error) {
+	return func(ch int, pairs [][2]int) ([]bool, error) {
 		out := make([]bool, len(pairs))
 		for t, pr := range pairs {
-			v, err := pairLE(pr[0], pr[1])
+			v, err := batchOn(ch, [][2]int{pr})
+			if err == nil && len(v) != 1 {
+				err = fmt.Errorf("core: one-pair batch returned %d results", len(v))
+			}
 			if err != nil {
 				return nil, err
 			}
-			out[t] = v
+			out[t] = v[0]
 		}
 		return out, nil
 	}

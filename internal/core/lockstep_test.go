@@ -17,14 +17,55 @@ var lockstepWidths = []int{1, 2, 4}
 
 // plainBatchOracle builds a lockstep batch oracle over plaintext points.
 func plainBatchOracle(pts [][]int64, epsSq int64) func(ch int, pairs [][2]int) ([]bool, error) {
-	return PairwiseBatch(func(i, j int) (bool, error) {
-		var d2 int64
-		for k := range pts[i] {
-			d := pts[i][k] - pts[j][k]
-			d2 += d * d
+	return func(_ int, pairs [][2]int) ([]bool, error) {
+		out := make([]bool, len(pairs))
+		for t, pr := range pairs {
+			var d2 int64
+			for k := range pts[pr[0]] {
+				d := pts[pr[0]][k] - pts[pr[1]][k]
+				d2 += d * d
+			}
+			out[t] = d2 <= epsSq
 		}
-		return d2 <= epsSq, nil
-	})
+		return out, nil
+	}
+}
+
+// TestPairwiseBatchSplits pins the sequential adapter of the lockstep
+// families: every pair reaches the wrapped oracle as its own one-pair
+// batch, in order and on the caller's channel, and a failing or
+// malformed one-pair call fails the whole batch.
+func TestPairwiseBatchSplits(t *testing.T) {
+	var calls [][][2]int
+	inner := func(ch int, pairs [][2]int) ([]bool, error) {
+		if ch != 3 {
+			t.Errorf("channel %d, want 3", ch)
+		}
+		calls = append(calls, pairs)
+		if pairs[0] == [2]int{9, 9} {
+			return nil, errors.New("boom")
+		}
+		if pairs[0] == [2]int{8, 8} {
+			return nil, nil
+		}
+		return []bool{pairs[0][0] < pairs[0][1]}, nil
+	}
+	got, err := PairwiseBatch(inner)(3, [][2]int{{0, 1}, {2, 1}, {4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[true false true]" || fmt.Sprint(calls) != "[[[0 1]] [[2 1]] [[4 5]]]" {
+		t.Errorf("results %v from calls %v", got, calls)
+	}
+	for _, bad := range [][2]int{{9, 9}, {8, 8}} {
+		calls = nil
+		if _, err := PairwiseBatch(inner)(3, [][2]int{{0, 1}, bad, {4, 5}}); err == nil {
+			t.Errorf("pair %v: error not propagated", bad)
+		}
+		if len(calls) != 2 {
+			t.Errorf("pair %v: %d calls after the failure, want it to stop at 2", bad, len(calls))
+		}
+	}
 }
 
 // TestLockstepMinPtsBoundary pins the self-inclusive MinPts semantics at

@@ -25,67 +25,47 @@ func ParseSelection(s string) (SelectionKind, error) {
 	return "", fmt.Errorf("core: unknown selection strategy %q (want %q or %q)", s, SelectionScan, SelectionQuick)
 }
 
-// lessEqOracle answers "is item a's hidden value ≤ item b's?" via one
-// secure comparison. Both parties observe the same answer, so running the
-// same deterministic selection code keeps their states in lock step.
-type lessEqOracle func(a, b int) (bool, error)
-
 // lessEqBatchOracle answers a whole vector of independent "value(a) ≤
 // value(b)?" questions in one constant-round sub-protocol (one
-// compare.BatchLessEq underneath). Determinism keeps both parties'
-// batches identical.
+// compare.BatchLessEq underneath). Both parties observe the same answers,
+// so running the same deterministic selection code keeps their batches
+// identical.
 type lessEqBatchOracle func(pairs [][2]int) ([]bool, error)
-
-// kthSmallest returns the index (0-based, into the original n items) of
-// the k-th smallest hidden value (k is 1-based) plus the number of oracle
-// calls consumed.
-func kthSmallest(n, k int, kind SelectionKind, le lessEqOracle) (idx, comparisons int, err error) {
-	if k < 1 || k > n {
-		return 0, 0, fmt.Errorf("core: selection k=%d outside [1,%d]", k, n)
-	}
-	counted := func(a, b int) (bool, error) {
-		comparisons++
-		return le(a, b)
-	}
-	switch kind {
-	case SelectionScan:
-		idx, err = kthSmallestScan(n, k, counted)
-	case SelectionQuick:
-		items := make([]int, n)
-		for i := range items {
-			items[i] = i
-		}
-		idx, err = quickselect(items, k, counted)
-	default:
-		return 0, 0, fmt.Errorf("core: unknown selection strategy %q", kind)
-	}
-	return idx, comparisons, err
-}
 
 // CountSelectionComparisons runs a selection strategy over plaintext
 // values and reports how many comparisons it consumed. In the enhanced
 // protocol every comparison is a full secure sub-protocol, so this count
 // is the communication cost model for experiment E9.
 func CountSelectionComparisons(k int, kind SelectionKind, vals []int64) (int, error) {
-	le := func(a, b int) (bool, error) { return vals[a] <= vals[b], nil }
-	_, comparisons, err := kthSmallest(len(vals), k, kind, le)
+	leb := func(pairs [][2]int) ([]bool, error) {
+		out := make([]bool, len(pairs))
+		for t, pr := range pairs {
+			out[t] = vals[pr[0]] <= vals[pr[1]]
+		}
+		return out, nil
+	}
+	_, comparisons, err := kthSmallestBatch(len(vals), k, kind, leb)
 	return comparisons, err
 }
 
-// kthSmallestBatch is kthSmallest restructured around a batched oracle:
-// the same selection strategies consume the same number of comparisons
-// (so OrderBits Ledger entries match the sequential path exactly), but
-// independent comparisons within one step travel together:
+// kthSmallestBatch returns the index (0-based, into the original n items)
+// of the k-th smallest hidden value (k is 1-based) plus the number of
+// comparisons consumed. It runs the paper's two strategies with the
+// independent comparisons of one step submitted together:
 //
-//   - scan: each of the k minimum-extraction rounds becomes a knockout
-//     tournament — ⌈log₂ n⌉ batched rounds of pairwise comparisons,
-//     still n−1 comparisons per round.
-//   - quickselect: all comparisons against one pivot form a single batch,
-//     one batched round per partition step.
+//   - scan: each of the k minimum-extraction rounds is a knockout
+//     tournament — ⌈log₂ n⌉ batches of pairwise comparisons. Round r
+//     still costs n−1−r comparisons over its n−r remaining items, so
+//     Σ_{r<k}(n−1−r) in all, exactly the paper's O(kn) scan.
+//   - quickselect: all comparisons against one pivot (the last item of
+//     the sub-range — deterministic, so both parties partition
+//     identically) form a single batch, one batch per partition step.
 //
-// Ties may resolve to a different index than the sequential scan's
-// last-wins rule, but only among items with equal hidden values, so the
-// k-th order VALUE — all either party acts on — is unchanged.
+// Under sequential rounds the engines split each batch into one-element
+// batches, in order, so the comparison count — and the OrderBits Ledger
+// entry — does not depend on the round structure. Among items with equal
+// hidden values the tournament may return any one of them, so only the
+// k-th order VALUE is specified; it is all either party acts on.
 func kthSmallestBatch(n, k int, kind SelectionKind, leb lessEqBatchOracle) (idx, comparisons int, err error) {
 	if k < 1 || k > n {
 		return 0, 0, fmt.Errorf("core: selection k=%d outside [1,%d]", k, n)
@@ -155,8 +135,9 @@ func kthSmallestScanBatch(n, k int, leb lessEqBatchOracle) (int, error) {
 	return last, nil
 }
 
-// quickselectBatch is quickselect with each partition round's pivot
-// comparisons submitted as one batch.
+// quickselectBatch is the paper's second algorithm (quicksort-based
+// selection, [21]) with each partition round's pivot comparisons
+// submitted as one batch.
 func quickselectBatch(items []int, k int, leb lessEqBatchOracle) (int, error) {
 	for {
 		if len(items) == 1 {
@@ -177,64 +158,6 @@ func quickselectBatch(items []int, k int, leb lessEqBatchOracle) (int, error) {
 		var lows, highs []int
 		for t, it := range items[:len(items)-1] {
 			if res[t] {
-				lows = append(lows, it)
-			} else {
-				highs = append(highs, it)
-			}
-		}
-		switch {
-		case k <= len(lows):
-			items = lows
-		case k == len(lows)+1:
-			return pivot, nil
-		default:
-			k -= len(lows) + 1
-			items = highs
-		}
-	}
-}
-
-// kthSmallestScan is the paper's first algorithm: k iterations, each
-// finding and removing the minimum of the remaining items.
-func kthSmallestScan(n, k int, le lessEqOracle) (int, error) {
-	remaining := make([]int, n)
-	for i := range remaining {
-		remaining[i] = i
-	}
-	var last int
-	for round := 0; round < k; round++ {
-		minPos := 0
-		for pos := 1; pos < len(remaining); pos++ {
-			isLE, err := le(remaining[pos], remaining[minPos])
-			if err != nil {
-				return 0, err
-			}
-			if isLE {
-				minPos = pos
-			}
-		}
-		last = remaining[minPos]
-		remaining = append(remaining[:minPos], remaining[minPos+1:]...)
-	}
-	return last, nil
-}
-
-// quickselect is the paper's second algorithm (quicksort-based selection,
-// [21]). The pivot is the last element of each sub-range — deterministic,
-// so both parties partition identically.
-func quickselect(items []int, k int, le lessEqOracle) (int, error) {
-	for {
-		if len(items) == 1 {
-			return items[0], nil
-		}
-		pivot := items[len(items)-1]
-		var lows, highs []int
-		for _, it := range items[:len(items)-1] {
-			isLE, err := le(it, pivot)
-			if err != nil {
-				return 0, err
-			}
-			if isLE {
 				lows = append(lows, it)
 			} else {
 				highs = append(highs, it)

@@ -55,8 +55,11 @@ func (r Role) peer() Role {
 // the Packing plaintext-encoding parameter (slot-packed ciphertext
 // frames); version 9 added the packed comparison uplink ("full"
 // packing, a per-batch moded wire form) and the uplink/downlink
-// ciphertext split.
-const handshakeVersion = 9
+// ciphertext split; version 10 runs every comparison through the batch
+// wire form — sequential rounds and the enhanced final comparison send
+// one-element batches, whose frames carry a count varint the scalar
+// frames did not.
+const handshakeVersion = 10
 
 // ErrHandshake reports parameter disagreement between the parties.
 var ErrHandshake = errors.New("core: handshake parameter mismatch")
@@ -405,16 +408,20 @@ func (s *session) dotPacker(pub *paillier.PublicKey) (*encoding.Packer, error) {
 // bound. The "alice" side (left-value holder, decryptor) uses this party's
 // private keys; the "bob" side uses the peer's public keys — so in any
 // sub-protocol, the party holding the left value uses its cmpAlice and the
-// peer simultaneously uses its cmpBob. Both halves are wrapped in counters
-// feeding Result.SecureComparisons.
+// peer simultaneously uses its cmpBob. Under sequential rounds
+// (Config.Batching) both halves run every batch as one-element batches —
+// the only place the round structure reaches the comparison layer. Both
+// halves are wrapped in counters feeding Result.SecureComparisons.
 func (s *session) engines(bound int64) (compare.Alice, compare.Bob, error) {
+	var a compare.Alice
+	var b compare.Bob
 	switch s.cfg.Engine {
 	case compare.EngineYMPP:
 		if bound+2 > yao.MaxDomain {
 			return nil, nil, fmt.Errorf("core: comparison domain %d exceeds YMPP limit %d; use Engine=masked or a smaller grid", bound+2, int64(yao.MaxDomain))
 		}
-		return &countingAlice{inner: &compare.YMPPAlice{Key: s.rsaKey, Max: bound, Random: s.random, Pool: s.pool}, n: &s.cmpCount},
-			&countingBob{inner: &compare.YMPPBob{Pub: s.peerRSA, Max: bound, Random: s.random}, n: &s.cmpCount}, nil
+		a = &compare.YMPPAlice{Key: s.rsaKey, Max: bound, Random: s.random, Pool: s.pool}
+		b = &compare.YMPPBob{Pub: s.peerRSA, Max: bound, Random: s.random}
 	case compare.EngineMasked:
 		limit := new(big.Int).Lsh(big.NewInt(bound+2), uint(s.cfg.CmpMaskBits))
 		if limit.Cmp(s.paiKey.PlaintextBound()) >= 0 || limit.Cmp(s.peerPai.PlaintextBound()) >= 0 {
@@ -456,10 +463,14 @@ func (s *session) engines(bound int64) (compare.Alice, compare.Bob, error) {
 			}
 			aliceEng.UplinkPacker, bobEng.UplinkPacker = aup, bup
 		}
-		return &countingAlice{inner: aliceEng, n: &s.cmpCount},
-			&countingBob{inner: bobEng, n: &s.cmpCount}, nil
+		a, b = aliceEng, bobEng
+	default:
+		return nil, nil, fmt.Errorf("core: unknown engine %q", s.cfg.Engine)
 	}
-	return nil, nil, fmt.Errorf("core: unknown engine %q", s.cfg.Engine)
+	if s.cfg.Batching == BatchModeSequential {
+		a, b = compare.Sequential(a, b)
+	}
+	return &countingAlice{inner: a, n: &s.cmpCount}, &countingBob{inner: b, n: &s.cmpCount}, nil
 }
 
 // countingAlice/countingBob wrap a comparison engine and tally executed
@@ -471,16 +482,6 @@ func (s *session) engines(bound int64) (compare.Alice, compare.Bob, error) {
 type countingAlice struct {
 	inner compare.Alice
 	n     *atomic.Int64
-}
-
-func (c *countingAlice) LessEq(conn transport.Conn, a int64) (bool, error) {
-	c.n.Add(1)
-	return c.inner.LessEq(conn, a)
-}
-
-func (c *countingAlice) Less(conn transport.Conn, a int64) (bool, error) {
-	c.n.Add(1)
-	return c.inner.Less(conn, a)
 }
 
 func (c *countingAlice) BatchLessEq(conn transport.Conn, as []int64) ([]bool, error) {
@@ -522,16 +523,6 @@ func (c *countingAlice) Name() string { return c.inner.Name() }
 type countingBob struct {
 	inner compare.Bob
 	n     *atomic.Int64
-}
-
-func (c *countingBob) LessEq(conn transport.Conn, b int64) (bool, error) {
-	c.n.Add(1)
-	return c.inner.LessEq(conn, b)
-}
-
-func (c *countingBob) Less(conn transport.Conn, b int64) (bool, error) {
-	c.n.Add(1)
-	return c.inner.Less(conn, b)
 }
 
 func (c *countingBob) BatchLessEq(conn transport.Conn, bs []int64) ([]bool, error) {
@@ -579,22 +570,9 @@ func (s *session) distEngines() (compare.Alice, compare.Bob, error) {
 	return s.engines(s.bound + 1)
 }
 
-// batched reports whether this session uses the batched round structure.
-func (s *session) batched() bool { return s.cfg.Batching == BatchModeBatched }
-
-// distLessEqDriver decides ownSum + peerSum ≤ Eps² from the driver side.
-func distLessEqDriver(conn transport.Conn, eng compare.Alice, ownSum int64) (bool, error) {
-	return eng.Less(conn, ownSum)
-}
-
-// distLessEqResponder is the matching responder half; peerSum may be
-// negative (it is Σd_y² − 2·dot for HDP).
-func distLessEqResponder(conn transport.Conn, eng compare.Bob, s *session, peerSum int64) (bool, error) {
-	return eng.Less(conn, s.responderOperand(eng.Bound(), peerSum))
-}
-
-// responderOperand maps the responder's additive share into the strict
-// Less embedding of a + b ≤ Eps²: j = clamp(Eps² − b + 1, [0, bound]).
+// responderOperand maps the responder's additive share b (which may be
+// negative: Σd_y² − 2·dot for HDP) into the strict Less embedding of
+// a + b ≤ Eps²: j = clamp(Eps² − b + 1, [0, bound]).
 // The clamp preserves the predicate because the driver's a never exceeds
 // the distance bound.
 func (s *session) responderOperand(bound, peerSum int64) int64 {

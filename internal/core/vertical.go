@@ -20,11 +20,12 @@ import (
 // own columns and a single secure comparison decides
 // PA + PB ≤ Eps² per pair (Theorem 10's only disclosure).
 //
-// Round structure (Config.Batching): under the default batched mode the
-// lockstep driver (LockstepCluster) submits every yet-undecided pair of
-// one neighborhood query as a single BatchLess — 3 vdp.cmp frames per
-// neighborhood, O(n) round trips for the whole run instead of the
-// sequential mode's per-pair O(n²). The per-pair payloads, the decided
+// Round structure (Config.Batching): the lockstep driver
+// (LockstepCluster) submits every yet-undecided pair of one neighborhood
+// query as a single BatchLess. Under the default batched rounds that is 3
+// vdp.cmp frames per neighborhood, O(n) round trips for the whole run;
+// under sequential rounds the session's engines split it into one-element
+// batches, the paper's per-pair O(n²). The per-pair payloads, the decided
 // predicates, and the PairDecisions Ledger count are identical in both
 // modes. With Config.Parallel = W > 1 the batches of up to W upcoming
 // neighborhoods ride separate worker channels concurrently, overlapping
@@ -408,17 +409,6 @@ func verticalRunOnce(t *Session, vs *vStream) (*Result, error) {
 			return engA.BatchLess(conn, vals)
 		}
 		return engB.BatchLess(conn, vals)
-	}
-	if !s.batched() {
-		batchOn = PairwiseBatch(func(i, j int) (bool, error) {
-			setTag(t.conns[0], "vdp.cmp")
-			s.led(func(l *Ledger) { l.PairDecisions++ })
-			partial := partialDistSq(enc, i, j)
-			if role == RoleAlice {
-				return distLessEqDriver(t.conns[0], engA, partial)
-			}
-			return distLessEqResponder(t.conns[0], engB, s, partial)
-		})
 	}
 	labels, clusters, err := LockstepCluster(len(enc), s.cfg.MinPts, s.parallel(),
 		vs.cache, onCached, PrunedLocalDecider(vs.cellRows, onPruned), batchOn)

@@ -11,9 +11,9 @@ import (
 )
 
 // The W = 1 wire pin. Every protocol family runs one two-run session on
-// the bare connection under each pruning mode and each round structure,
-// and the frames it sends are counted per Meter tag (both parties,
-// merged). At W = 1 the wave scheduler (WaveDrive) and the lockstep
+// the bare connection under each pruning mode, each round structure and
+// each comparison engine, and the frames it sends are counted per Meter
+// tag (both parties, merged). At W = 1 the wave scheduler (WaveDrive) and the lockstep
 // driver (LockstepCluster) run one query per wave, so their frames must
 // be exactly those of a plain one-query-at-a-time Algorithm 4/6 loop;
 // wireW1Frames holds those counts. The second run is answered from the
@@ -76,14 +76,20 @@ func TestWireIdentityW1(t *testing.T) {
 			for _, fam := range equivalenceSessions(t) {
 				name := string(pruning) + "/" + string(batching) + "/" + fam.name
 				t.Run(name, func(t *testing.T) {
-					cfg := testCfg(compare.EngineMasked)
-					cfg.Pruning = pruning
-					cfg.Batching = batching
-					_, _, _, _, tags := runSessionMetered(t, fam, cfg, 2)
-					got := wireTagFrames(tags)
-					want, ok := wireW1Frames[name]
-					if !ok || formatFrames(got) != formatFrames(want) {
-						t.Errorf("W=1 frames per tag drifted:\n got  %q: %s,\n want %s", name, formatFrames(got), formatFrames(want))
+					// Both engines run the same three-frame batch form, so
+					// one table pins both.
+					for _, engine := range []compare.EngineKind{compare.EngineMasked, compare.EngineYMPP} {
+						t.Run(string(engine), func(t *testing.T) {
+							cfg := testCfg(engine)
+							cfg.Pruning = pruning
+							cfg.Batching = batching
+							_, _, _, _, tags := runSessionMetered(t, fam, cfg, 2)
+							got := wireTagFrames(tags)
+							want, ok := wireW1Frames[name]
+							if !ok || formatFrames(got) != formatFrames(want) {
+								t.Errorf("W=1 frames per tag drifted:\n got  %q: %s,\n want %s", name, formatFrames(got), formatFrames(want))
+							}
+						})
 					}
 				})
 			}

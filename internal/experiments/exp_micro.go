@@ -43,11 +43,11 @@ func runE8(w io.Writer, opt Options) error {
 			ma, mb := transport.NewMeter(ca), transport.NewMeter(cb)
 			err := transport.RunPair(ma, mb,
 				func(transport.Conn) error {
-					_, err := a.LessEq(ma, bound/3)
+					_, err := a.BatchLessEq(ma, []int64{bound / 3})
 					return err
 				},
 				func(transport.Conn) error {
-					_, err := b.LessEq(mb, bound/2)
+					_, err := b.BatchLessEq(mb, []int64{bound / 2})
 					return err
 				},
 			)

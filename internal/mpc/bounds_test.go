@@ -17,16 +17,7 @@ import (
 func TestSenderMaskBeyondPlaintextSpaceFails(t *testing.T) {
 	k := testKey(t)
 	huge := new(big.Int).Set(k.PlaintextBound()) // exactly n/2: out of range
-	err := transport.Run2(
-		func(c transport.Conn) error {
-			_, err := ReceiverMultiply(c, k, 3, rand.Reader)
-			return err
-		},
-		func(c transport.Conn) error {
-			return SenderMultiply(c, &k.PublicKey, 4, huge, rand.Reader)
-		},
-	)
-	if err == nil {
+	if _, err := multiply(k, []int64{3}, []int64{4}, []*big.Int{huge}); err == nil {
 		t.Fatal("mask at n/2 accepted")
 	}
 }
@@ -38,24 +29,14 @@ func TestLargeButLegalValuesRoundTrip(t *testing.T) {
 	x := int64(1) << 31
 	y := int64(1) << 31
 	v := new(big.Int).Lsh(big.NewInt(1), 70) // bigger than any int64 product
-	var u *big.Int
-	err := transport.Run2(
-		func(c transport.Conn) error {
-			var err error
-			u, err = ReceiverMultiply(c, k, x, rand.Reader)
-			return err
-		},
-		func(c transport.Conn) error {
-			return SenderMultiply(c, &k.PublicKey, y, v, rand.Reader)
-		},
-	)
+	us, err := multiply(k, []int64{x}, []int64{y}, []*big.Int{v})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := new(big.Int).Mul(big.NewInt(x), big.NewInt(y))
 	want.Add(want, v)
-	if u.Cmp(want) != 0 {
-		t.Errorf("u = %v, want %v", u, want)
+	if us[0].Cmp(want) != 0 {
+		t.Errorf("u = %v, want %v", us[0], want)
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package mpc implements the paper's Multiplication Protocol (§4.1,
 // Algorithm 2) and the two derived forms the DBSCAN protocols need:
 //
-//   - Multiply: the receiver holds x (and the Paillier key pair) and
-//     obtains u = x·y + v, where y and the mask v belong to the sender.
 //   - BatchMultiply: m independent multiplications sharing one message
-//     round; this is how the horizontal distance protocol (HDP, §4.2)
-//     computes its per-coordinate masked products with O(c1·m) bits.
-//   - Dot: the secret-shared dot product of §5, u = a·b + v, used by the
-//     enhanced protocol to share Dist²(A, B_i) between the parties with a
-//     single ciphertext per point.
+//     round — the receiver holds x_k (and the Paillier key pair) and
+//     obtains u_k = x_k·y_k + v_k, where y_k and the mask v_k belong to
+//     the sender. This is how the horizontal distance protocol (HDP,
+//     §4.2) computes its per-coordinate masked products with O(c1·m)
+//     bits; a one-element batch is a single Algorithm 2 invocation.
+//   - DotMany: the secret-shared dot products of §5, u_i = a·b_i + v_i,
+//     used by the enhanced protocol to share Dist²(A, B_i) between the
+//     parties with a single ciphertext per point.
 //
 // All batch forms route their Paillier arithmetic through the parallel
 // layer (paillier.EncryptBatch / DecryptSignedBatch / ParallelFor) via an
@@ -39,22 +40,6 @@ import (
 // ErrLengthMismatch reports that the two parties supplied vectors of
 // different lengths.
 var ErrLengthMismatch = errors.New("mpc: parties supplied different vector lengths")
-
-// ReceiverMultiply runs the receiving half of Algorithm 2: the caller
-// holds x and the key pair, and obtains u = x·y + v.
-func ReceiverMultiply(conn transport.Conn, key *paillier.PrivateKey, x int64, random io.Reader) (*big.Int, error) {
-	us, err := ReceiverBatchMultiply(conn, key, []int64{x}, random, nil)
-	if err != nil {
-		return nil, err
-	}
-	return us[0], nil
-}
-
-// SenderMultiply runs the sending half of Algorithm 2 with a caller-chosen
-// mask v (the HDP zero-sum masks need exactly this control).
-func SenderMultiply(conn transport.Conn, pub *paillier.PublicKey, y int64, v *big.Int, random io.Reader) error {
-	return SenderBatchMultiply(conn, pub, []int64{y}, []*big.Int{v}, random, nil)
-}
 
 // ReceiverBatchMultiply performs m independent multiplications in one
 // round trip: the receiver holds xs and obtains u_k = xs[k]·ys[k] + vs[k].
@@ -133,23 +118,6 @@ func SenderBatchMultiply(conn transport.Conn, pub *paillier.PublicKey, ys []int6
 		return err
 	}
 	return transport.SendMsg(conn, transport.NewBuilder().PutBigs(replies))
-}
-
-// ReceiverDot obtains u = a·b + v where the caller holds vector a.
-// The caller sends one ciphertext per coordinate and receives one back,
-// so a session that scores n sender points against the same a should use
-// ReceiverDotMany instead.
-func ReceiverDot(conn transport.Conn, key *paillier.PrivateKey, a []int64, random io.Reader) (*big.Int, error) {
-	us, err := ReceiverDotMany(conn, key, a, 1, random, nil)
-	if err != nil {
-		return nil, err
-	}
-	return us[0], nil
-}
-
-// SenderDot is the sending half of ReceiverDot.
-func SenderDot(conn transport.Conn, pub *paillier.PublicKey, b []int64, v *big.Int, random io.Reader) error {
-	return SenderDotMany(conn, pub, [][]int64{b}, []*big.Int{v}, random, nil)
 }
 
 // ReceiverDotMany sends the encrypted coordinates of a once and receives

@@ -30,6 +30,23 @@ func testKey(t testing.TB) *paillier.PrivateKey {
 	return key
 }
 
+// multiply runs Algorithm 2 over paired batches: the receiver holds xs,
+// the sender ys and masks vs; a one-element batch is one invocation.
+func multiply(k *paillier.PrivateKey, xs, ys []int64, vs []*big.Int) ([]*big.Int, error) {
+	var us []*big.Int
+	err := transport.Run2(
+		func(c transport.Conn) error {
+			var err error
+			us, err = ReceiverBatchMultiply(c, k, xs, rand.Reader, nil)
+			return err
+		},
+		func(c transport.Conn) error {
+			return SenderBatchMultiply(c, &k.PublicKey, ys, vs, rand.Reader, nil)
+		},
+	)
+	return us, err
+}
+
 func TestMultiplyCorrectness(t *testing.T) {
 	k := testKey(t)
 	cases := []struct {
@@ -45,24 +62,27 @@ func TestMultiplyCorrectness(t *testing.T) {
 		{99, 0, 5},
 		{1 << 30, 1 << 20, 1 << 40},
 	}
+	var xs, ys []int64
+	var vs []*big.Int
 	for _, tc := range cases {
-		var u *big.Int
-		err := transport.Run2(
-			func(c transport.Conn) error {
-				var err error
-				u, err = ReceiverMultiply(c, k, tc.x, rand.Reader)
-				return err
-			},
-			func(c transport.Conn) error {
-				return SenderMultiply(c, &k.PublicKey, tc.y, big.NewInt(tc.v), rand.Reader)
-			},
-		)
+		us, err := multiply(k, []int64{tc.x}, []int64{tc.y}, []*big.Int{big.NewInt(tc.v)})
 		if err != nil {
 			t.Fatalf("Multiply(%d,%d,%d): %v", tc.x, tc.y, tc.v, err)
 		}
 		want := tc.x*tc.y + tc.v
-		if u.Int64() != want {
-			t.Errorf("u = %v, want %d", u, want)
+		if us[0].Int64() != want {
+			t.Errorf("u = %v, want %d", us[0], want)
+		}
+		xs, ys, vs = append(xs, tc.x), append(ys, tc.y), append(vs, big.NewInt(tc.v))
+	}
+	// Every case again as one k-element batch.
+	us, err := multiply(k, xs, ys, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range xs {
+		if want := xs[i]*ys[i] + vs[i].Int64(); us[i].Int64() != want {
+			t.Errorf("batched u[%d] = %v, want %d", i, us[i], want)
 		}
 	}
 }
@@ -73,21 +93,11 @@ func TestMultiplyCorrectness(t *testing.T) {
 func TestMultiplyProperty(t *testing.T) {
 	k := testKey(t)
 	f := func(x, y, v int32) bool {
-		var u *big.Int
-		err := transport.Run2(
-			func(c transport.Conn) error {
-				var err error
-				u, err = ReceiverMultiply(c, k, int64(x), rand.Reader)
-				return err
-			},
-			func(c transport.Conn) error {
-				return SenderMultiply(c, &k.PublicKey, int64(y), big.NewInt(int64(v)), rand.Reader)
-			},
-		)
+		us, err := multiply(k, []int64{int64(x)}, []int64{int64(y)}, []*big.Int{big.NewInt(int64(v))})
 		if err != nil {
 			return false
 		}
-		diff := new(big.Int).Sub(u, big.NewInt(int64(v)))
+		diff := new(big.Int).Sub(us[0], big.NewInt(int64(v)))
 		return diff.Int64() == int64(x)*int64(y)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -155,23 +165,23 @@ func TestDotProduct(t *testing.T) {
 	a := []int64{2, -3, 4}
 	b := []int64{5, 6, -7}
 	v := big.NewInt(1000)
-	var u *big.Int
+	var us []*big.Int
 	err := transport.Run2(
 		func(c transport.Conn) error {
 			var err error
-			u, err = ReceiverDot(c, k, a, rand.Reader)
+			us, err = ReceiverDotMany(c, k, a, 1, rand.Reader, nil)
 			return err
 		},
 		func(c transport.Conn) error {
-			return SenderDot(c, &k.PublicKey, b, v, rand.Reader)
+			return SenderDotMany(c, &k.PublicKey, [][]int64{b}, []*big.Int{v}, rand.Reader, nil)
 		},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := int64(2*5+(-3)*6+4*(-7)) + 1000
-	if u.Int64() != want {
-		t.Errorf("u = %v, want %d", u, want)
+	if len(us) != 1 || us[0].Int64() != want {
+		t.Errorf("us = %v, want [%d]", us, want)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 
 // Slot-packed wire forms of the Multiplication Protocol. Three shapes
 // cover every masked-product phase in the repository; all preserve the
-// scalar semantics element-for-element (the packing equivalence harness
-// in internal/core asserts identical labels and ledgers against the
-// unpacked forms above):
+// unpacked semantics element-for-element (the packing equivalence
+// harness in internal/core asserts identical labels and ledgers against
+// the unpacked forms in mpc.go):
 //
 //   - Grid: the HDP layout — a rows×cols grid of products where the
 //     sender's scalar y_k is constant down each column (the query

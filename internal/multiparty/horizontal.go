@@ -787,6 +787,10 @@ func (h *hState) buildPairEngines(sess *pairSession) error {
 	default:
 		return fmt.Errorf("multiparty: unknown engine %q", h.cfg.Engine)
 	}
+	if h.cfg.Batching == core.BatchModeSequential {
+		// One complete comparison per candidate, as in Algorithm 4.
+		sess.cmpA, sess.cmpB = compare.Sequential(sess.cmpA, sess.cmpB)
+	}
 	if h.packing() {
 		// HDP grid packers, one per key direction; slots size for one
 		// coordinate product plus a zero-sum mask share.
@@ -833,8 +837,10 @@ func (h *hState) packedMaskBound() *big.Int {
 // uplink ("full" packing, a per-batch moded wire form) and the
 // uplink/downlink ciphertext split; version 9 moved Parallel > 1 mesh
 // edges onto W channel-tagged mux channels driven by the shared wave
-// scheduler (pipelined per-edge queries, W responder workers).
-const meshHandshakeVersion = 9
+// scheduler (pipelined per-edge queries, W responder workers); version
+// 10 runs sequential rounds as one-element comparison batches, whose
+// frames carry a count varint the scalar frames did not.
+const meshHandshakeVersion = 10
 
 // Ops on the driver→responder control channel (per peer connection).
 const (
@@ -1040,28 +1046,16 @@ func (h *hState) queryGen(sess *pairSession, conn transport.Conn, x []int64, g, 
 	for _, v := range x {
 		ownSum += v * v
 	}
-	count := 0
-	if h.cfg.Batching == core.BatchModeBatched {
-		vs := make([]int64, nCand)
-		for t := range vs {
-			vs[t] = ownSum
-		}
-		ins, err := sess.cmpA.BatchLess(conn, vs)
-		if err != nil {
-			return 0, err
-		}
-		for _, in := range ins {
-			if in {
-				count++
-			}
-		}
-		return count, nil
+	ops := make([]int64, nCand)
+	for t := range ops {
+		ops[t] = ownSum
 	}
-	for t := 0; t < nCand; t++ {
-		in, err := sess.cmpA.Less(conn, ownSum)
-		if err != nil {
-			return 0, err
-		}
+	ins, err := sess.cmpA.BatchLess(conn, ops)
+	if err != nil {
+		return 0, err
+	}
+	count := 0
+	for _, in := range ins {
 		if in {
 			count++
 		}
@@ -1212,16 +1206,8 @@ func (h *hState) serveQuery(sess *pairSession, conn transport.Conn, r *transport
 	// The masked Bob reply direction is where "slots" packing bites:
 	// ⌈n/S⌉ ciphertexts packed, n unpacked — counted by the engine's
 	// Sent hook (YMPP sends no Paillier cts).
-	if h.cfg.Batching == core.BatchModeBatched {
-		_, err := sess.cmpB.BatchLess(conn, js)
-		return err
-	}
-	for _, j := range js {
-		if _, err := sess.cmpB.Less(conn, j); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = sess.cmpB.BatchLess(conn, js)
+	return err
 }
 
 // NewLocalMesh builds a full in-process mesh for k parties: mesh[p][q] is

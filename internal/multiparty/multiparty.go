@@ -21,9 +21,10 @@
 // between coordinator (left: t) and last party (right: Eps² + v) — over
 // the existing ring edge, using either engine from internal/compare —
 // yields the within-Eps bit, which the coordinator then circulates around
-// the ring. All parties run core.LockstepCluster with this oracle — one
-// circulation per pair under sequential rounds (pairLE), one per
-// neighborhood batch under batched rounds (pairLEBatchOn).
+// the ring. All parties run core.LockstepCluster with this oracle
+// (pairLEBatchOn) — one circulation per neighborhood batch under batched
+// rounds; under sequential rounds core.PairwiseBatch hands it one pair at
+// a time, so each pair pays its own circulation and comparison.
 //
 // With k = 2 the ring degenerates to the two-party vertical protocol
 // (party 1 is both accumulator and masker), which the tests use for
@@ -76,7 +77,10 @@ type Config struct {
 	// mode one ring circulation carries the ciphertexts of a whole
 	// lockstep neighborhood and the coordinator↔last comparison is one
 	// BatchLessEq, so a neighborhood costs O(k) messages instead of
-	// O(k·n). Sequential mode keeps one circulation per pair.
+	// O(k·n). Sequential mode runs the same oracle on one-pair batches
+	// (one circulation per pair), and in the horizontal mesh splits every
+	// comparison batch into one-element batches (one comparison per
+	// candidate).
 	Batching core.BatchMode
 
 	// Packing mirrors core.Config.Packing: under the default "slots" mode
@@ -273,8 +277,10 @@ var ErrHandshake = errors.New("multiparty: handshake parameter mismatch")
 // (point-level retraction); version 6 added the Packing
 // plaintext-encoding parameter (slot-packed ring circulations);
 // version 7 added the packed comparison uplink ("full" packing, a
-// per-batch moded wire form) and the uplink/downlink ciphertext split.
-const ringHandshakeVersion = 7
+// per-batch moded wire form) and the uplink/downlink ciphertext split;
+// version 8 runs sequential rounds as one-pair batches, whose ring and
+// comparison frames carry a count varint the per-pair frames did not.
+const ringHandshakeVersion = 8
 
 // handshakeToken travels once around the ring accumulating checks.
 type handshakeToken struct {
@@ -805,104 +811,6 @@ func (st *state) partial(i, j int) int64 {
 		s += d * d
 	}
 	return s
-}
-
-// pairLE is the joint within-Eps oracle: ring accumulation, masked
-// decryption, coordinator↔last comparison, ring broadcast.
-func (st *state) pairLE(i, j int) (bool, error) {
-	st.pairCount.Add(1)
-	prev, next := st.prevs[0], st.nexts[0]
-	s := st.partial(i, j)
-
-	if st.isCoordinator() {
-		ct, err := st.paiPub.Encrypt(st.random, big.NewInt(s))
-		if err != nil {
-			return false, err
-		}
-		st.ctsUp.Add(1)
-		if err := transport.SendMsg(next, transport.NewBuilder().PutBig(ct)); err != nil {
-			return false, fmt.Errorf("multiparty: ring send: %w", err)
-		}
-		r, err := transport.RecvMsg(prev)
-		if err != nil {
-			return false, fmt.Errorf("multiparty: ring return: %w", err)
-		}
-		acc := r.Big()
-		if r.Err() != nil {
-			return false, r.Err()
-		}
-		t, err := st.paiKey.DecryptSigned(acc)
-		if err != nil {
-			return false, err
-		}
-		if t.Sign() < 0 || t.Int64() >= st.bound+st.shareV {
-			return false, fmt.Errorf("multiparty: masked sum %v outside [0,%d)", t, st.bound+st.shareV)
-		}
-		// t = dist² + v ≤ Eps² + v ⟺ dist² ≤ Eps².
-		in, err := st.cmpA.LessEq(prev, t.Int64())
-		if err != nil {
-			return false, err
-		}
-		// Broadcast the decision around the ring.
-		if err := transport.SendMsg(next, transport.NewBuilder().PutBool(in)); err != nil {
-			return false, err
-		}
-		return in, nil
-	}
-
-	// Non-coordinator: accumulate and forward.
-	r, err := transport.RecvMsg(prev)
-	if err != nil {
-		return false, fmt.Errorf("multiparty: ring recv: %w", err)
-	}
-	acc := r.Big()
-	if r.Err() != nil {
-		return false, r.Err()
-	}
-	add := s
-	var v int64
-	if st.isLast() {
-		mask, err := rand.Int(st.random, big.NewInt(st.shareV))
-		if err != nil {
-			return false, err
-		}
-		v = mask.Int64()
-		add += v
-	}
-	term, err := st.paiPub.Encrypt(st.random, big.NewInt(add))
-	if err != nil {
-		return false, err
-	}
-	acc, err = st.paiPub.Add(acc, term)
-	if err != nil {
-		return false, err
-	}
-	st.ctsUp.Add(1)
-	if err := transport.SendMsg(next, transport.NewBuilder().PutBig(acc)); err != nil {
-		return false, fmt.Errorf("multiparty: ring forward: %w", err)
-	}
-	if st.isLast() {
-		// Participate in the comparison with right side Eps² + v.
-		if _, err := st.cmpB.LessEq(next, st.epsSq+v); err != nil {
-			return false, err
-		}
-	}
-	// Receive the broadcast decision; forward unless the next hop is the
-	// coordinator (who originated it).
-	br, err := transport.RecvMsg(prev)
-	if err != nil {
-		return false, fmt.Errorf("multiparty: broadcast recv: %w", err)
-	}
-	in := br.Bool()
-	if br.Err() != nil {
-		return false, br.Err()
-	}
-	if !st.isLast() {
-		if err := transport.SendMsg(next, transport.NewBuilder().PutBool(in)); err != nil {
-			return false, err
-		}
-	}
-	return in, nil
 }
 
 // pairLEBatchOn is the batched ring oracle on worker channel ch: one

@@ -327,8 +327,9 @@ func (rs *RingSession) Run() (*Result, error) {
 	}
 
 	batchOn := st.pairLEBatchOn
-	if cfg.Batching != core.BatchModeBatched {
-		batchOn = core.PairwiseBatch(st.pairLE)
+	if cfg.Batching == core.BatchModeSequential {
+		// One ring circulation and one comparison per pair.
+		batchOn = core.PairwiseBatch(batchOn)
 	}
 	labels, clusters, err := core.LockstepCluster(len(st.enc), cfg.MinPts, cfg.Parallel,
 		rs.cache, onCached, core.PrunedLocalDecider(rs.cellRows, onPruned), batchOn)

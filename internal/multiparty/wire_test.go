@@ -14,19 +14,26 @@ import (
 )
 
 // The W = 1 wire pin for the k-party extensions: a three-party ring and
-// a three-party mesh each run one two-run session with batched rounds
-// under both pruning modes, and the frames every party sends on every
-// edge are counted. The ring runs core.LockstepCluster and the mesh
+// a three-party mesh each run one two-run session under both pruning
+// modes and both round structures, and the frames every party sends on
+// every edge are counted. The ring runs core.LockstepCluster and the mesh
 // core.WaveDrive, which at W = 1 decide one query per wave on the bare
 // edges, so the frames must be exactly those of a plain
-// one-query-at-a-time loop; wireW1Frames holds those counts.
+// one-query-at-a-time loop; wireW1Frames holds those counts. Sequential
+// rounds decide each pair or candidate as a one-element batch, so their
+// rows pin the paper-literal per-comparison schedule.
 
-// wireW1Frames maps topology/pruning to frames sent per directed edge.
+// wireW1Frames maps topology/pruning/batching to frames sent per
+// directed edge.
 var wireW1Frames = map[string]map[string]int64{
-	"ring/grid": {"p0.next": 36, "p0.prev": 32, "p1.next": 36, "p1.prev": 0, "p2.next": 36, "p2.prev": 0},
-	"mesh/grid": {"p0>p1": 40, "p0>p2": 40, "p1>p0": 40, "p1>p2": 40, "p2>p0": 40, "p2>p1": 40},
-	"ring/off":  {"p0.next": 36, "p0.prev": 34, "p1.next": 36, "p1.prev": 0, "p2.next": 36, "p2.prev": 0},
-	"mesh/off":  {"p0>p1": 39, "p0>p2": 39, "p1>p0": 39, "p1>p2": 39, "p2>p0": 39, "p2>p1": 39},
+	"ring/grid/batched":    {"p0.next": 36, "p0.prev": 32, "p1.next": 36, "p1.prev": 0, "p2.next": 36, "p2.prev": 0},
+	"mesh/grid/batched":    {"p0>p1": 40, "p0>p2": 40, "p1>p0": 40, "p1>p2": 40, "p2>p0": 40, "p2>p1": 40},
+	"ring/off/batched":     {"p0.next": 36, "p0.prev": 34, "p1.next": 36, "p1.prev": 0, "p2.next": 36, "p2.prev": 0},
+	"mesh/off/batched":     {"p0>p1": 39, "p0>p2": 39, "p1>p0": 39, "p1>p2": 39, "p2>p0": 39, "p2>p1": 39},
+	"ring/grid/sequential": {"p0.next": 148, "p0.prev": 144, "p1.next": 148, "p1.prev": 0, "p2.next": 148, "p2.prev": 0},
+	"mesh/grid/sequential": {"p0>p1": 112, "p0>p2": 124, "p1>p0": 112, "p1>p2": 124, "p2>p0": 118, "p2>p1": 118},
+	"ring/off/sequential":  {"p0.next": 308, "p0.prev": 306, "p1.next": 308, "p1.prev": 0, "p2.next": 308, "p2.prev": 0},
+	"mesh/off/sequential":  {"p0>p1": 129, "p0>p2": 129, "p1>p0": 129, "p1>p2": 129, "p2>p0": 129, "p2>p1": 129},
 }
 
 // formatFrames renders a frame table row as a Go map literal, keys
@@ -180,22 +187,33 @@ func TestWireIdentityW1(t *testing.T) {
 		}
 	}
 	for _, pruning := range []core.PruneMode{core.PruneGrid, core.PruneOff} {
-		cfg := testCfg(compare.EngineMasked)
-		cfg.Pruning = pruning
-		cfg.Batching = core.BatchModeBatched
 		t.Run("ring/"+string(pruning), func(t *testing.T) {
-			em := &edgeMeters{m: make(map[string]*transport.Meter)}
-			runRingSessionN(t, cfg, splitColumns(ringData.Points, 3), 2, func(p int, edge string, c transport.Conn) transport.Conn {
-				return em.wrap(fmt.Sprintf("p%d.%s", p, edge), c)
-			})
-			check(t, "ring/"+string(pruning), em.frames())
+			for _, batching := range []core.BatchMode{core.BatchModeBatched, core.BatchModeSequential} {
+				t.Run(string(batching), func(t *testing.T) {
+					cfg := testCfg(compare.EngineMasked)
+					cfg.Pruning = pruning
+					cfg.Batching = batching
+					em := &edgeMeters{m: make(map[string]*transport.Meter)}
+					runRingSessionN(t, cfg, splitColumns(ringData.Points, 3), 2, func(p int, edge string, c transport.Conn) transport.Conn {
+						return em.wrap(fmt.Sprintf("p%d.%s", p, edge), c)
+					})
+					check(t, "ring/"+string(pruning)+"/"+string(batching), em.frames())
+				})
+			}
 		})
 		t.Run("mesh/"+string(pruning), func(t *testing.T) {
-			em := &edgeMeters{m: make(map[string]*transport.Meter)}
-			runMeshSessionN(t, cfg, meshSplit, 2, func(p, q int, c transport.Conn) transport.Conn {
-				return em.wrap(fmt.Sprintf("p%d>p%d", p, q), c)
-			})
-			check(t, "mesh/"+string(pruning), em.frames())
+			for _, batching := range []core.BatchMode{core.BatchModeBatched, core.BatchModeSequential} {
+				t.Run(string(batching), func(t *testing.T) {
+					cfg := testCfg(compare.EngineMasked)
+					cfg.Pruning = pruning
+					cfg.Batching = batching
+					em := &edgeMeters{m: make(map[string]*transport.Meter)}
+					runMeshSessionN(t, cfg, meshSplit, 2, func(p, q int, c transport.Conn) transport.Conn {
+						return em.wrap(fmt.Sprintf("p%d>p%d", p, q), c)
+					})
+					check(t, "mesh/"+string(pruning)+"/"+string(batching), em.frames())
+				})
+			}
 		})
 	}
 }

@@ -124,21 +124,22 @@ func TestMultiplicationProtocolViewIndistinguishable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var u *big.Int
+			// One Algorithm 2 invocation: a one-element batch.
+			var us []*big.Int
 			err = transport.Run2(
 				func(c transport.Conn) error {
 					var err error
-					u, err = mpc.ReceiverMultiply(c, key, x, rand.Reader)
+					us, err = mpc.ReceiverBatchMultiply(c, key, []int64{x}, rand.Reader, nil)
 					return err
 				},
 				func(c transport.Conn) error {
-					return mpc.SenderMultiply(c, &key.PublicKey, y, v, rand.Reader)
+					return mpc.SenderBatchMultiply(c, &key.PublicKey, []int64{y}, []*big.Int{v}, rand.Reader, nil)
 				},
 			)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[i] = u.Int64()
+			out[i] = us[0].Int64()
 		}
 		return out
 	}

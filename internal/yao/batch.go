@@ -23,7 +23,10 @@ import (
 // 3·count messages to 3.
 
 // AliceCompareBatch runs Alice's side of `len(is)` batched Algorithm 1
-// instances; is[t] pairs with Bob's js[t]. Returns i_t < j_t for every t.
+// instances; is[t] ∈ [1, n0] pairs with Bob's js[t], and Alice holds the
+// RSA key pair. Returns i_t < j_t for every t. pool bounds the local
+// decryption fan-out (nil: GOMAXPROCS); only Alice does O(n0) local work
+// per instance, so Bob's half takes no pool handle.
 func AliceCompareBatch(conn transport.Conn, key *RSAKey, is []int64, n0 int64, random io.Reader, pool *paillier.Pool) ([]bool, error) {
 	for t, i := range is {
 		if err := checkDomain(i, n0); err != nil {
@@ -37,6 +40,7 @@ func AliceCompareBatch(conn transport.Conn, key *RSAKey, is []int64, n0 int64, r
 		random = rand.Reader
 	}
 
+	// Step 2 (receive): Bob's k_t − j_t + 1 for every instance.
 	r, err := transport.RecvMsg(conn)
 	if err != nil {
 		return nil, fmt.Errorf("yao: alice recv batch round 1: %w", err)
@@ -59,11 +63,15 @@ func AliceCompareBatch(conn transport.Conn, key *RSAKey, is []int64, n0 int64, r
 		if base.Sign() < 0 || base.Cmp(key.N) >= 0 {
 			return nil, fmt.Errorf("yao: batch[%d] round-1 value outside Z_N", t)
 		}
+		// Step 3: y_u = Da(k − j + u) for u = 1..n0.
 		ys := decryptRange(pool, key, base, int(n0))
+		// Step 4: a prime p with all z_u = y_u mod p pairwise ≥ 2 apart
+		// in the mod-p sense.
 		p, zs, err := findSeparatingPrime(random, key.N.BitLen()/2, ys)
 		if err != nil {
 			return nil, fmt.Errorf("yao: batch[%d]: %w", t, err)
 		}
+		// Step 5: z_1..z_i, then z_{i+1}+1 .. z_{n0}+1 (mod p).
 		ws := make([]*big.Int, n0)
 		for u := int64(1); u <= n0; u++ {
 			w := new(big.Int).Set(zs[u-1])
@@ -81,6 +89,7 @@ func AliceCompareBatch(conn transport.Conn, key *RSAKey, is []int64, n0 int64, r
 		return nil, fmt.Errorf("yao: alice send batch round 2: %w", err)
 	}
 
+	// Step 7: Bob tells Alice the conclusions.
 	res, err := transport.RecvMsg(conn)
 	if err != nil {
 		return nil, fmt.Errorf("yao: alice recv batch result: %w", err)
@@ -95,8 +104,9 @@ func AliceCompareBatch(conn transport.Conn, key *RSAKey, is []int64, n0 int64, r
 	return bits, nil
 }
 
-// BobCompareBatch runs Bob's side of AliceCompareBatch; js[t] pairs with
-// Alice's is[t]. Returns i_t < j_t for every t.
+// BobCompareBatch runs Bob's side of AliceCompareBatch; js[t] ∈ [1, n0]
+// pairs with Alice's is[t], and Bob holds Alice's public key. Returns
+// i_t < j_t for every t.
 func BobCompareBatch(conn transport.Conn, pub *RSAPublicKey, js []int64, n0 int64, random io.Reader) ([]bool, error) {
 	for t, j := range js {
 		if err := checkDomain(j, n0); err != nil {
@@ -114,6 +124,7 @@ func BobCompareBatch(conn transport.Conn, pub *RSAPublicKey, js []int64, n0 int6
 	msg := transport.NewBuilder().PutUint(uint64(n0)).PutUint(uint64(len(js)))
 	bases := make([]*big.Int, len(js))
 	for t, j := range js {
+		// Steps 1–2: random x, k = Ea(x); send k − j + 1 mod N.
 		x, err := rand.Int(random, pub.N)
 		if err != nil {
 			return nil, fmt.Errorf("yao: sampling x[%d]: %w", t, err)
@@ -146,6 +157,7 @@ func BobCompareBatch(conn transport.Conn, pub *RSAPublicKey, js []int64, n0 int6
 		if p.Sign() <= 0 {
 			return nil, fmt.Errorf("yao: batch[%d] invalid prime from alice", t)
 		}
+		// Step 6: w_j == x mod p ⇒ i ≥ j, otherwise i < j.
 		xModP := new(big.Int).Mod(xs[t], p)
 		bits[t] = ws[j-1].Cmp(xModP) != 0
 	}
@@ -154,6 +166,13 @@ func BobCompareBatch(conn transport.Conn, pub *RSAPublicKey, js []int64, n0 int6
 	}
 	return bits, nil
 }
+
+// ---- Predicates over non-negative values ----
+//
+// The DBSCAN protocols compare non-negative quantities a (held by Alice)
+// and b (held by Bob), both bounded by a publicly known `bound`. The
+// mappings below embed those predicates into Algorithm 1's strict i < j
+// over [1, n0]. Each instance still costs O(n0) = O(bound) work and bits.
 
 // shiftAll embeds a batch of non-negative values into Algorithm 1's
 // domain, validating the original [0, bound] range.
@@ -169,7 +188,7 @@ func shiftAll(vs []int64, bound, delta int64) ([]int64, error) {
 }
 
 // AliceLessEqBatch decides a_t ≤ b_t for every a_t ∈ [0, bound]; pairs
-// with BobLessEqBatch. Same embedding as AliceLessEq.
+// with BobLessEqBatch: a ≤ b ⟺ a+1 < b+2 over n0 = bound+2.
 func AliceLessEqBatch(conn transport.Conn, key *RSAKey, as []int64, bound int64, random io.Reader, pool *paillier.Pool) ([]bool, error) {
 	is, err := shiftAll(as, bound, 1)
 	if err != nil {
@@ -187,7 +206,8 @@ func BobLessEqBatch(conn transport.Conn, pub *RSAPublicKey, bs []int64, bound in
 	return BobCompareBatch(conn, pub, js, bound+2, random)
 }
 
-// AliceLessBatch decides a_t < b_t strictly; pairs with BobLessBatch.
+// AliceLessBatch decides a_t < b_t strictly; pairs with BobLessBatch:
+// a < b ⟺ a+1 < b+1 over n0 = bound+1.
 func AliceLessBatch(conn transport.Conn, key *RSAKey, as []int64, bound int64, random io.Reader, pool *paillier.Pool) ([]bool, error) {
 	is, err := shiftAll(as, bound, 1)
 	if err != nil {

@@ -86,32 +86,63 @@ func TestUnmarshalRSAPublicKeyRejects(t *testing.T) {
 	}
 }
 
-// runYMPP executes one protocol instance in-process and returns both
-// parties' conclusions.
-func runYMPP(t testing.TB, i, j, n0 int64) (aliceGot, bobGot bool) {
+// runYMPPBatch executes one batch of Algorithm 1 instances in-process
+// (is[t] against js[t]) and returns both parties' conclusions.
+func runYMPPBatch(t testing.TB, is, js []int64, n0 int64) (aliceGot, bobGot []bool) {
 	t.Helper()
 	k := testRSAKey(t)
-	var aRes, bRes bool
 	err := transport.Run2(
 		func(c transport.Conn) error {
 			var err error
-			aRes, err = AliceCompare(c, k, i, n0, rand.Reader, nil)
+			aliceGot, err = AliceCompareBatch(c, k, is, n0, rand.Reader, nil)
 			return err
 		},
 		func(c transport.Conn) error {
 			var err error
-			bRes, err = BobCompare(c, &k.RSAPublicKey, j, n0, rand.Reader)
+			bobGot, err = BobCompareBatch(c, &k.RSAPublicKey, js, n0, rand.Reader)
 			return err
 		},
 	)
 	if err != nil {
-		t.Fatalf("YMPP(i=%d, j=%d, n0=%d): %v", i, j, n0, err)
+		t.Fatalf("YMPP(is=%v, js=%v, n0=%d): %v", is, js, n0, err)
 	}
-	return aRes, bRes
+	if len(aliceGot) != len(is) || len(bobGot) != len(js) {
+		t.Fatalf("YMPP: %d/%d results for %d instances", len(aliceGot), len(bobGot), len(is))
+	}
+	return aliceGot, bobGot
+}
+
+// runYMPP executes one protocol instance — a one-element batch — and
+// returns both parties' conclusions.
+func runYMPP(t testing.TB, i, j, n0 int64) (aliceGot, bobGot bool) {
+	t.Helper()
+	a, b := runYMPPBatch(t, []int64{i}, []int64{j}, n0)
+	return a[0], b[0]
+}
+
+// lessEq decides a ≤ b over [0, bound] through the batch predicate
+// wrappers and returns both parties' views.
+func lessEq(t testing.TB, as, bs []int64, bound int64) (aliceGot, bobGot []bool, err error) {
+	t.Helper()
+	k := testRSAKey(t)
+	err = transport.Run2(
+		func(c transport.Conn) error {
+			var err error
+			aliceGot, err = AliceLessEqBatch(c, k, as, bound, rand.Reader, nil)
+			return err
+		},
+		func(c transport.Conn) error {
+			var err error
+			bobGot, err = BobLessEqBatch(c, &k.RSAPublicKey, bs, bound, rand.Reader)
+			return err
+		},
+	)
+	return aliceGot, bobGot, err
 }
 
 func TestYMPPExhaustiveSmallDomain(t *testing.T) {
 	const n0 = 9
+	var is, js []int64
 	for i := int64(1); i <= n0; i++ {
 		for j := int64(1); j <= n0; j++ {
 			a, b := runYMPP(t, i, j, n0)
@@ -119,6 +150,14 @@ func TestYMPPExhaustiveSmallDomain(t *testing.T) {
 			if a != want || b != want {
 				t.Fatalf("YMPP(i=%d, j=%d): alice=%v bob=%v want %v", i, j, a, b, want)
 			}
+			is, js = append(is, i), append(js, j)
+		}
+	}
+	// The whole domain again as one n0²-element batch.
+	as, bs := runYMPPBatch(t, is, js, n0)
+	for x := range is {
+		if want := is[x] < js[x]; as[x] != want || bs[x] != want {
+			t.Fatalf("batched YMPP(i=%d, j=%d): alice=%v bob=%v want %v", is[x], js[x], as[x], bs[x], want)
 		}
 	}
 }
@@ -148,13 +187,13 @@ func TestYMPPInputValidation(t *testing.T) {
 	conn, peer := transport.Pipe()
 	defer conn.Close()
 	defer peer.Close()
-	if _, err := AliceCompare(conn, k, 0, 10, rand.Reader, nil); err == nil {
+	if _, err := AliceCompareBatch(conn, k, []int64{0}, 10, rand.Reader, nil); err == nil {
 		t.Error("i=0 accepted")
 	}
-	if _, err := AliceCompare(conn, k, 11, 10, rand.Reader, nil); err == nil {
+	if _, err := AliceCompareBatch(conn, k, []int64{3, 11}, 10, rand.Reader, nil); err == nil {
 		t.Error("i>n0 accepted")
 	}
-	if _, err := BobCompare(conn, &k.RSAPublicKey, 5, MaxDomain+1, rand.Reader); err == nil {
+	if _, err := BobCompareBatch(conn, &k.RSAPublicKey, []int64{5}, MaxDomain+1, rand.Reader); err == nil {
 		t.Error("n0 over cap accepted")
 	}
 }
@@ -163,11 +202,11 @@ func TestYMPPDomainMismatchDetected(t *testing.T) {
 	k := testRSAKey(t)
 	err := transport.Run2(
 		func(c transport.Conn) error {
-			_, err := AliceCompare(c, k, 3, 10, rand.Reader, nil)
+			_, err := AliceCompareBatch(c, k, []int64{3}, 10, rand.Reader, nil)
 			return err
 		},
 		func(c transport.Conn) error {
-			_, err := BobCompare(c, &k.RSAPublicKey, 3, 12, rand.Reader)
+			_, err := BobCompareBatch(c, &k.RSAPublicKey, []int64{3}, 12, rand.Reader)
 			return err
 		},
 	)
@@ -177,30 +216,28 @@ func TestYMPPDomainMismatchDetected(t *testing.T) {
 }
 
 func TestLessEqWrappers(t *testing.T) {
-	k := testRSAKey(t)
 	const bound = 12
+	var as, bs []int64
 	for a := int64(0); a <= bound; a += 3 {
 		for b := int64(0); b <= bound; b += 3 {
-			var aGot, bGot bool
-			err := transport.Run2(
-				func(c transport.Conn) error {
-					var err error
-					aGot, err = AliceLessEq(c, k, a, bound, rand.Reader, nil)
-					return err
-				},
-				func(c transport.Conn) error {
-					var err error
-					bGot, err = BobLessEq(c, &k.RSAPublicKey, b, bound, rand.Reader)
-					return err
-				},
-			)
+			aGot, bGot, err := lessEq(t, []int64{a}, []int64{b}, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := a <= b
-			if aGot != want || bGot != want {
-				t.Errorf("LessEq(%d,%d) = (%v,%v), want %v", a, b, aGot, bGot, want)
+			if aGot[0] != want || bGot[0] != want {
+				t.Errorf("LessEq(%d,%d) = (%v,%v), want %v", a, b, aGot[0], bGot[0], want)
 			}
+			as, bs = append(as, a), append(bs, b)
+		}
+	}
+	aGot, bGot, err := lessEq(t, as, bs, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := range as {
+		if want := as[x] <= bs[x]; aGot[x] != want || bGot[x] != want {
+			t.Errorf("batched LessEq(%d,%d) = (%v,%v), want %v", as[x], bs[x], aGot[x], bGot[x], want)
 		}
 	}
 }
@@ -208,25 +245,37 @@ func TestLessEqWrappers(t *testing.T) {
 func TestLessWrappers(t *testing.T) {
 	k := testRSAKey(t)
 	const bound = 10
-	for _, pair := range [][2]int64{{0, 0}, {0, 1}, {1, 0}, {5, 5}, {4, 5}, {10, 10}, {9, 10}, {10, 9}} {
-		a, b := pair[0], pair[1]
-		var aGot bool
+	pairs := [][2]int64{{0, 0}, {0, 1}, {1, 0}, {5, 5}, {4, 5}, {10, 10}, {9, 10}, {10, 9}}
+	less := func(as, bs []int64) []bool {
+		t.Helper()
+		var aGot []bool
 		err := transport.Run2(
 			func(c transport.Conn) error {
 				var err error
-				aGot, err = AliceLess(c, k, a, bound, rand.Reader, nil)
+				aGot, err = AliceLessBatch(c, k, as, bound, rand.Reader, nil)
 				return err
 			},
 			func(c transport.Conn) error {
-				_, err := BobLess(c, &k.RSAPublicKey, b, bound, rand.Reader)
+				_, err := BobLessBatch(c, &k.RSAPublicKey, bs, bound, rand.Reader)
 				return err
 			},
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if aGot != (a < b) {
-			t.Errorf("Less(%d,%d) = %v", a, b, aGot)
+		return aGot
+	}
+	var as, bs []int64
+	for _, pair := range pairs {
+		a, b := pair[0], pair[1]
+		if got := less([]int64{a}, []int64{b}); got[0] != (a < b) {
+			t.Errorf("Less(%d,%d) = %v", a, b, got[0])
+		}
+		as, bs = append(as, a), append(bs, b)
+	}
+	for x, got := range less(as, bs) {
+		if got != (as[x] < bs[x]) {
+			t.Errorf("batched Less(%d,%d) = %v", as[x], bs[x], got)
 		}
 	}
 }
@@ -236,41 +285,29 @@ func TestWrapperInputValidation(t *testing.T) {
 	conn, peer := transport.Pipe()
 	defer conn.Close()
 	defer peer.Close()
-	if _, err := AliceLessEq(conn, k, -1, 10, rand.Reader, nil); err == nil {
+	if _, err := AliceLessEqBatch(conn, k, []int64{-1}, 10, rand.Reader, nil); err == nil {
 		t.Error("negative value accepted")
 	}
-	if _, err := BobLessEq(conn, &k.RSAPublicKey, 11, 10, rand.Reader); err == nil {
+	if _, err := BobLessEqBatch(conn, &k.RSAPublicKey, []int64{11}, 10, rand.Reader); err == nil {
 		t.Error("out-of-bound value accepted")
 	}
-	if _, err := AliceLess(conn, k, 11, 10, rand.Reader, nil); err == nil {
-		t.Error("out-of-bound value accepted by AliceLess")
+	if _, err := AliceLessBatch(conn, k, []int64{11}, 10, rand.Reader, nil); err == nil {
+		t.Error("out-of-bound value accepted by AliceLessBatch")
 	}
-	if _, err := BobLess(conn, &k.RSAPublicKey, -2, 10, rand.Reader); err == nil {
-		t.Error("negative value accepted by BobLess")
+	if _, err := BobLessBatch(conn, &k.RSAPublicKey, []int64{-2}, 10, rand.Reader); err == nil {
+		t.Error("negative value accepted by BobLessBatch")
 	}
 }
 
 // Property test: random (a, b, bound) triples agree with plaintext ≤.
 func TestYMPPProperty(t *testing.T) {
-	k := testRSAKey(t)
 	rng := mrand.New(mrand.NewSource(7))
 	f := func() bool {
 		bound := int64(rng.Intn(40) + 1)
 		a := int64(rng.Intn(int(bound + 1)))
 		b := int64(rng.Intn(int(bound + 1)))
-		var got bool
-		err := transport.Run2(
-			func(c transport.Conn) error {
-				var err error
-				got, err = AliceLessEq(c, k, a, bound, rand.Reader, nil)
-				return err
-			},
-			func(c transport.Conn) error {
-				_, err := BobLessEq(c, &k.RSAPublicKey, b, bound, rand.Reader)
-				return err
-			},
-		)
-		return err == nil && got == (a <= b)
+		got, _, err := lessEq(t, []int64{a}, []int64{b}, bound)
+		return err == nil && got[0] == (a <= b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -278,38 +315,46 @@ func TestYMPPProperty(t *testing.T) {
 }
 
 // The communication pattern must match the paper's O(c2·n0) accounting:
-// Alice's round-2 message carries exactly n0 residues mod a (N/2)-bit prime.
+// Alice's round-2 message carries exactly n0 residues mod a (N/2)-bit
+// prime per instance, and a batch of any size still takes three frames.
 func TestYMPPCommunicationShape(t *testing.T) {
 	k := testRSAKey(t)
-	ca, cb := transport.Pipe()
-	ma, mb := transport.NewMeter(ca), transport.NewMeter(cb)
 	const n0 = 50
-	err := transport.RunPair(ma, mb,
-		func(c transport.Conn) error {
-			_, err := AliceCompare(c, k, 25, n0, rand.Reader, nil)
-			return err
-		},
-		func(c transport.Conn) error {
-			_, err := BobCompare(c, &k.RSAPublicKey, 25, n0, rand.Reader)
-			return err
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Alice sends one message (p + n0 residues); Bob sends two (round 1,
-	// result bit).
-	if got := ma.Stats().MessagesSent; got != 1 {
-		t.Errorf("alice sent %d messages, want 1", got)
-	}
-	if got := mb.Stats().MessagesSent; got != 2 {
-		t.Errorf("bob sent %d messages, want 2", got)
-	}
-	// Residues are ≤ N/2 bits = 16 bytes for the 256-bit test key; with
-	// framing overhead the Alice message must stay within ~(n0+1)·(16+3).
-	maxBytes := int64((n0 + 1) * (16 + 3))
-	if got := ma.Stats().BytesSent; got > maxBytes {
-		t.Errorf("alice sent %d bytes, want ≤ %d (O(c2·n0))", got, maxBytes)
+	for _, count := range []int{1, 4} {
+		is := make([]int64, count)
+		for x := range is {
+			is[x] = 25
+		}
+		ca, cb := transport.Pipe()
+		ma, mb := transport.NewMeter(ca), transport.NewMeter(cb)
+		err := transport.RunPair(ma, mb,
+			func(c transport.Conn) error {
+				_, err := AliceCompareBatch(c, k, is, n0, rand.Reader, nil)
+				return err
+			},
+			func(c transport.Conn) error {
+				_, err := BobCompareBatch(c, &k.RSAPublicKey, is, n0, rand.Reader)
+				return err
+			},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Alice sends one message (p + n0 residues per instance); Bob sends
+		// two (round 1, result bits).
+		if got := ma.Stats().MessagesSent; got != 1 {
+			t.Errorf("count %d: alice sent %d messages, want 1", count, got)
+		}
+		if got := mb.Stats().MessagesSent; got != 2 {
+			t.Errorf("count %d: bob sent %d messages, want 2", count, got)
+		}
+		// Residues are ≤ N/2 bits = 16 bytes for the 256-bit test key; with
+		// framing overhead the Alice message must stay within
+		// ~count·(n0+1)·(16+3).
+		maxBytes := int64(count * (n0 + 1) * (16 + 3))
+		if got := ma.Stats().BytesSent; got > maxBytes {
+			t.Errorf("count %d: alice sent %d bytes, want ≤ %d (O(c2·n0))", count, got, maxBytes)
+		}
 	}
 }
 
@@ -319,11 +364,11 @@ func BenchmarkYMPPDomain256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		err := transport.Run2(
 			func(c transport.Conn) error {
-				_, err := AliceCompare(c, k, 100, 256, rand.Reader, nil)
+				_, err := AliceCompareBatch(c, k, []int64{100}, 256, rand.Reader, nil)
 				return err
 			},
 			func(c transport.Conn) error {
-				_, err := BobCompare(c, &k.RSAPublicKey, 200, 256, rand.Reader)
+				_, err := BobCompareBatch(c, &k.RSAPublicKey, []int64{200}, 256, rand.Reader)
 				return err
 			},
 		)
